@@ -8,8 +8,8 @@ use ffet_cells::Library;
 use ffet_core::designs;
 use ffet_lefdef::merge_defs;
 use ffet_pnr::{
-    decompose_nets, export_defs, floorplan, place, powerplan, route_nets, synthesize_clock_tree,
-    RoutingGrid,
+    decompose_nets, export_defs, floorplan, place, powerplan, route_nets_opts,
+    synthesize_clock_tree, RouteOpts, RoutingGrid,
 };
 use ffet_rcx::extract_net;
 use ffet_sta::{analyze_timing, StaConfig};
@@ -46,7 +46,13 @@ fn main() {
 
     group.bench_function("dual_sided_routing_rv32", || {
         let mut grid = RoutingGrid::new(library.tech(), fp.die, pattern);
-        route_nets(library.tech(), &mut grid, &side_nets, pattern)
+        route_nets_opts(
+            library.tech(),
+            &mut grid,
+            &side_nets,
+            pattern,
+            &RouteOpts::default(),
+        )
     });
 
     // The same kernel with an ambient ffet-obs collector recording its
@@ -58,13 +64,25 @@ fn main() {
         let routing = {
             let _guard = collector.install();
             let mut grid = RoutingGrid::new(library.tech(), fp.die, pattern);
-            route_nets(library.tech(), &mut grid, &side_nets, pattern)
+            route_nets_opts(
+                library.tech(),
+                &mut grid,
+                &side_nets,
+                pattern,
+                &RouteOpts::default(),
+            )
         };
         (routing, collector.finish())
     });
 
     let mut grid = RoutingGrid::new(library.tech(), fp.die, pattern);
-    let routing = route_nets(library.tech(), &mut grid, &side_nets, pattern);
+    let routing = route_nets_opts(
+        library.tech(),
+        &mut grid,
+        &side_nets,
+        pattern,
+        &RouteOpts::default(),
+    );
     let (front, back) = export_defs(&netlist, &library, &fp, &pp, &pl, &routing);
     group.bench_function("def_merge_rv32", || {
         merge_defs(&front, &back).expect("merge")

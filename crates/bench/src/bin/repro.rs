@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--jobs N] [--route-jobs N] [--design counter|rv32] [--max-attempts N]
-//!       [--deadline SECS] [--resume] [--no-cache] <experiment>
+//!       [--deadline SECS] [--no-cache] <experiment>
 //!                      # table1 table2 fig4 fig8 fig9 fig10 fig11 table3 fig12 fig13 ablation
 //! repro all            # everything
 //! repro sanity         # one FFET + one CFET baseline run, printed verbosely
@@ -28,12 +28,6 @@
 //! `--deadline SECS` (or `FFET_DEADLINE`) arms a cooperative per-attempt
 //! watchdog whose expiry lands a `timeout(stage)` disposition.
 //!
-//! Every artifact is written atomically (tmp + rename), and every
-//! completed experiment is journaled into the `results/ckpt/` checkpoint
-//! store. `--resume` replays experiments whose journal records validate,
-//! producing artifacts byte-identical (modulo the `timing` key) to an
-//! uninterrupted run — see DESIGN.md §12.
-//!
 //! Flow stages are memoized through the content-addressed stage cache
 //! (`results/ckpt/objects/`, DESIGN §14): a warm rerun replays unchanged
 //! stages byte-identically instead of recomputing them. The cache defaults
@@ -41,6 +35,13 @@
 //! and `FFET_STAGE_CACHE=<dir>` redirects it. Hit/miss/store counters land
 //! under the `timing.cache` key of `results/metrics.json` and as
 //! `cache_hit_rate_<stage>` pairs in the ledger's `timing.stages`.
+//!
+//! Every artifact is written atomically (tmp + rename), so a sweep killed
+//! at any point is resumed by rerunning the same command: the stage cache
+//! replays every stage that finished and the rest recompute, producing
+//! artifacts byte-identical (modulo the `timing` key) to an uninterrupted
+//! run — see DESIGN.md §12. Faulted sweeps and `--no-cache` runs bypass
+//! the cache and so recompute in full.
 //!
 //! Every sweep invocation additionally appends one checksummed record to
 //! the cross-run performance ledger (`results/ledger/ledger.jsonl`): the
@@ -52,13 +53,12 @@
 // channel. Library crates must go through ffet-obs instead.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use ffet_core::ckpt::{self, Journal, JournalFault, Store};
+use ffet_core::ckpt;
 use ffet_core::experiments::{self, DesignKind, ExpTable};
 use ffet_core::runner::{Pool, RunLog, RunLogRow};
-use ffet_core::FaultPlan;
 use ffet_obs::{LabeledPoint, RunArtifacts};
 use std::env;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 /// Prints the table and drops its CSV into `results/` for plotting.
@@ -135,7 +135,7 @@ const ALL: [&str; 11] = [
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--jobs N] [--route-jobs N] [--design counter|rv32] [--max-attempts N] \
-         [--deadline SECS] [--resume] [--no-cache] \
+         [--deadline SECS] [--no-cache] \
          <sanity|calib|hotspots|critpath|table1|table2|fig4|fig8|fig9|fig10|fig11|table3|fig12|fig13|ablation|all>\n\
          \x20      repro trace [point]   # render one point of results/trace.jsonl"
     );
@@ -152,21 +152,6 @@ fn write_artifact(path: &str, body: &str, failed: &mut bool) {
             *failed = true;
         }
     }
-}
-
-// --- checkpoint/resume plumbing (DESIGN.md §12) ---
-
-/// Everything the sweep loop needs to journal completed experiments and to
-/// replay them on `--resume`. Absent (`None`) for non-sweep subcommands so
-/// `repro sanity`/`repro trace` never touch the journal.
-struct Ckpt {
-    store: Store,
-    journal: Journal,
-    path: PathBuf,
-    /// Fault injected into journal appends (`ckpt-torn-write`/`ckpt-stale`).
-    fault: JournalFault,
-    /// Config-signature hash; records from a different config are ignored.
-    cfg: String,
 }
 
 /// One performance-ledger record for this invocation (DESIGN §13):
@@ -331,7 +316,6 @@ fn trace_cmd(query: Option<&str>) -> i32 {
 
 fn main() {
     let mut jobs: Option<usize> = None;
-    let mut resume = false;
     let mut no_cache = false;
     let mut design = match env::var("FFET_DESIGN").as_deref() {
         Ok("counter") => DesignKind::CounterSmall,
@@ -367,7 +351,6 @@ fn main() {
                 }
                 _ => usage(),
             },
-            "--resume" => resume = true,
             "--no-cache" => no_cache = true,
             name if !name.starts_with('-') => positional.push(name.to_owned()),
             _ => usage(),
@@ -394,111 +377,14 @@ fn main() {
     let mut log = RunLog::new(pool.width());
     let mut artifacts = RunArtifacts::new(pool.width());
     let mut failed = false;
-    // The journal only exists for sweep runs; `sanity`/`calib`/`trace`
-    // must neither reset nor extend it.
-    let mut ckpt_ctx: Option<Ckpt> = if arg == "all" || ALL.contains(&arg.as_str()) {
-        let path = Path::new(ckpt::CKPT_DIR).join(ckpt::JOURNAL_FILE);
-        let plan = FaultPlan::from_env();
-        let fault = if plan.has_ckpt_torn() {
-            JournalFault::TornWrite
-        } else if plan.has_ckpt_stale() {
-            JournalFault::StaleHash
-        } else {
-            JournalFault::None
-        };
-        let journal = if resume {
-            let j = match Journal::recover(&path) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!(
-                        "warning: could not recover {}: {e}; starting fresh",
-                        path.display()
-                    );
-                    Journal::default()
-                }
-            };
-            if j.torn + j.corrupt > 0 {
-                eprintln!(
-                    "ckpt: discarded {} torn + {} corrupt journal record(s)",
-                    j.torn, j.corrupt
-                );
-            }
-            eprintln!("ckpt: resuming with {} valid record(s)", j.records.len());
-            j
-        } else {
-            if let Err(e) = Journal::reset(&path) {
-                eprintln!("warning: could not reset {}: {e}", path.display());
-            }
-            Journal::default()
-        };
-        Some(Ckpt {
-            store: Store::new(ckpt::CKPT_DIR),
-            journal,
-            path,
-            fault,
-            cfg: ckpt::config_signature(design),
-        })
-    } else {
-        None
-    };
-    let run_and_emit = |name: &str,
-                        log: &mut RunLog,
-                        artifacts: &mut RunArtifacts,
-                        ckpt_ctx: &mut Option<Ckpt>,
-                        failed: &mut bool|
-     -> bool {
+    let mut run_and_emit = |name: &str| -> bool {
         let t = Instant::now();
-        // Resume path: a validated journal record short-circuits the whole
-        // experiment; its payload replays the exact CSV, runlog rows and
-        // trace fragment the original run produced.
-        if let Some(c) = ckpt_ctx.as_mut() {
-            if let Some(replayed) = c
-                .journal
-                .lookup(name, &c.cfg)
-                .and_then(|rec| c.store.get(&rec.blob))
-                .and_then(|body| ckpt::parse_payload(name, &body))
-            {
-                let path = format!("results/{name}.csv");
-                match ckpt::atomic_write(Path::new(&path), replayed.csv.as_bytes()) {
-                    Ok(()) => eprintln!("wrote {path} (replayed from checkpoint)"),
-                    Err(e) => {
-                        eprintln!("error: could not write {path}: {e}");
-                        *failed = true;
-                    }
-                }
-                artifacts.extend(replayed.traces);
-                log.record_experiment(name, replayed.rows, t.elapsed());
-                eprintln!(
-                    "[{name}: {:?}, {} (replayed)]",
-                    t.elapsed(),
-                    log.summary(name)
-                );
-                return true;
-            }
-        }
         let Some(run) = run_one(name, design, &pool) else {
             return false;
         };
         if let Err(e) = emit(name, &run.table) {
             eprintln!("error: could not write results/{name}.csv: {e}");
-            *failed = true;
-        }
-        // Journal the completed experiment before its outputs are consumed.
-        // A journal failure degrades resumability but never the run itself.
-        if let Some(c) = ckpt_ctx.as_mut() {
-            let payload = ckpt::payload_json(
-                name,
-                &run.table.to_csv(),
-                &run.rows,
-                &ckpt::trace_fragment(&run.traces),
-            );
-            let journaled = c
-                .store
-                .put(&payload)
-                .and_then(|addr| c.journal.append(&c.path, name, &c.cfg, &addr, c.fault));
-            if let Err(e) = journaled {
-                eprintln!("warning: could not journal {name}: {e}");
-            }
+            failed = true;
         }
         artifacts.extend(run.traces);
         log.record_experiment(name, run.rows, t.elapsed());
@@ -512,10 +398,10 @@ fn main() {
         "critpath" => critpath(),
         "all" => {
             for name in ALL {
-                run_and_emit(name, &mut log, &mut artifacts, &mut ckpt_ctx, &mut failed);
+                run_and_emit(name);
             }
         }
-        other if run_and_emit(other, &mut log, &mut artifacts, &mut ckpt_ctx, &mut failed) => {}
+        other if run_and_emit(other) => {}
         _ => usage(),
     }
     // Stage-cache hit/miss/store counts are process-global and depend on
@@ -535,10 +421,12 @@ fn main() {
         );
     }
     // Every sweep invocation appends one record to the cross-run ledger
-    // (DESIGN §13). A ledger failure degrades observability, not the run.
-    if let Some(c) = &ckpt_ctx {
+    // (DESIGN §13); `sanity`/`calib` and the other diagnostics do not. A
+    // ledger failure degrades observability, not the run.
+    if arg == "all" || ALL.contains(&arg.as_str()) {
         artifacts.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let entry = ledger_entry(&arg, design, &c.cfg, &pool, &log, &artifacts);
+        let cfg = ckpt::config_signature(design);
+        let entry = ledger_entry(&arg, design, &cfg, &pool, &log, &artifacts);
         let path = Path::new(ffet_obs::ledger::LEDGER_PATH);
         match ffet_obs::Ledger::append(path, &entry) {
             Ok(()) => eprintln!("appended ledger entry to {}", path.display()),

@@ -1,13 +1,16 @@
-//! Kill-and-resume differential tests for the crash-safe sweep driver.
+//! Kill-and-rerun differential tests for the crash-safe sweep driver.
 //!
-//! Each test spawns the real `repro` binary in a scratch directory, kills
-//! it mid-sweep (SIGKILL — no cleanup handlers run) or corrupts its
-//! journal via the `ckpt-torn-write`/`ckpt-stale` faults, resumes with
-//! `--resume`, and asserts the final artifacts are byte-identical to an
-//! uninterrupted run: every experiment CSV, `trace.jsonl`, and
-//! `metrics.json` modulo the `timing` key. `runlog.csv` carries wall-clock
-//! telemetry and is outside the contract (DESIGN §7, §12).
+//! Resuming a sweep is rerunning the same command against the same warm
+//! stage cache (DESIGN §12). Each test spawns the real `repro` binary in a
+//! scratch directory, kills it mid-sweep (SIGKILL — no cleanup handlers
+//! run) or damages its stage-cache store on disk, reruns the command, and
+//! asserts the final artifacts are byte-identical to an uninterrupted run:
+//! every experiment CSV, `trace.jsonl`, and `metrics.json` modulo the
+//! `timing` key. `runlog.csv` carries wall-clock telemetry and is outside
+//! the contract (DESIGN §7, §12). Every rerun must also report stage-cache
+//! hits, so a rerun that silently recomputes everything fails.
 
+use ffet_core::stagecache;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -15,8 +18,11 @@ use std::time::{Duration, Instant};
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
-/// Experiment count of `repro all` — the journal's final record count.
+/// Experiment count of `repro all` — the CSV count of a finished sweep.
 const ALL_EXPERIMENTS: usize = 11;
+
+/// The stage-cache root `repro` uses by default, relative to its cwd.
+const OBJECTS: &str = "results/ckpt/objects";
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ffet-crash-resume-{tag}-{}", std::process::id()));
@@ -25,8 +31,9 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// A `repro` invocation on the fast counter design, isolated in `dir`.
-fn repro(dir: &Path, args: &[&str], faults: Option<&str>) -> Command {
+/// A fault-free `repro` invocation on the fast counter design, isolated in
+/// `dir` with the stage cache at its default root.
+fn repro(dir: &Path, args: &[&str]) -> Command {
     let mut cmd = Command::new(REPRO);
     cmd.current_dir(dir)
         .args(args)
@@ -36,11 +43,9 @@ fn repro(dir: &Path, args: &[&str], faults: Option<&str>) -> Command {
         .env_remove("FFET_DEADLINE")
         .env_remove("FFET_JOBS")
         .env_remove("FFET_ROUTE_JOBS")
+        .env_remove("FFET_STAGE_CACHE")
         .stdout(Stdio::null())
         .stderr(Stdio::null());
-    if let Some(f) = faults {
-        cmd.env("FFET_FAULTS", f);
-    }
     cmd
 }
 
@@ -51,10 +56,20 @@ fn run_ok(mut cmd: Command, what: &str) {
     assert!(status.success(), "{what}: exited with {status}");
 }
 
-/// Counts complete (newline-terminated) journal records.
-fn journal_lines(dir: &Path) -> usize {
-    std::fs::read(dir.join("results/ckpt/journal.jsonl"))
-        .map_or(0, |bytes| bytes.iter().filter(|&&b| b == b'\n').count())
+/// Counts finished experiments: the CSVs `repro` publishes (atomically)
+/// under `results/` as each experiment completes. `runlog.csv` is written
+/// once at the end of the sweep and does not count.
+fn finished_experiments(dir: &Path) -> usize {
+    std::fs::read_dir(dir.join("results")).map_or(0, |entries| {
+        entries
+            .filter_map(Result::ok)
+            .filter(|e| {
+                let name = e.file_name();
+                let name = name.to_string_lossy();
+                name.ends_with(".csv") && name != "runlog.csv"
+            })
+            .count()
+    })
 }
 
 /// Every artifact under the byte-identity contract: the experiment CSVs.
@@ -114,30 +129,45 @@ fn assert_bytes_identical(reference: &Path, resumed: &Path, what: &str) {
     );
 }
 
-/// Runs `repro --jobs <kill_jobs> all`, SIGKILLs it once `min_records`
-/// experiments are journaled, then resumes with `--jobs <resume_jobs>`.
+/// The rerun replayed finished stages: `metrics.json`'s `timing.cache`
+/// section has at least one nonzero `cache.hit.<stage>` count.
+fn assert_cache_hits(dir: &Path, what: &str) {
+    let text =
+        std::fs::read_to_string(dir.join("results/metrics.json")).expect("read metrics.json");
+    let json = ffet_obs::parse_json(&text).expect("valid metrics.json");
+    let hits: i64 = match json.get("timing").and_then(|t| t.get("cache")) {
+        Some(ffet_obs::Json::Obj(pairs)) => pairs
+            .iter()
+            .filter(|(k, _)| k.starts_with("cache.hit."))
+            .filter_map(|(_, v)| v.as_i64())
+            .sum(),
+        _ => 0,
+    };
+    assert!(hits > 0, "{what}: the rerun reported no stage-cache hits");
+}
+
+/// Runs `repro --jobs <kill_jobs> all`, SIGKILLs it once a few experiments
+/// have finished, then reruns the same sweep with `--jobs <resume_jobs>`.
 fn kill_and_resume(tag: &str, kill_jobs: &str, resume_jobs: &str) {
     let reference = scratch(&format!("{tag}-ref"));
     run_ok(
-        repro(&reference, &["--jobs", "4", "all"], None),
+        repro(&reference, &["--jobs", "4", "all"]),
         "uninterrupted reference run",
     );
-    assert_eq!(journal_lines(&reference), ALL_EXPERIMENTS);
+    assert_eq!(finished_experiments(&reference), ALL_EXPERIMENTS);
 
     let victim = scratch(&format!("{tag}-victim"));
-    let mut child = repro(&victim, &["--jobs", kill_jobs, "all"], None)
+    let mut child = repro(&victim, &["--jobs", kill_jobs, "all"])
         .spawn()
         .expect("spawn victim run");
-    // Kill after a few experiments are journaled but (on any plausible
-    // machine) well before the sweep finishes. If the sweep somehow
-    // finishes first, the resume below degenerates to a full replay —
-    // still a valid (if weaker) check of the same contract.
+    // Kill after the analytic tables and the first flow experiment have
+    // finished but (on any plausible machine) well before the sweep does.
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
-        if journal_lines(&victim) >= 4 || child.try_wait().expect("try_wait").is_some() {
+        if finished_experiments(&victim) >= 4 || child.try_wait().expect("try_wait").is_some() {
             break;
         }
-        assert!(Instant::now() < deadline, "victim made no journal progress");
+        assert!(Instant::now() < deadline, "victim finished no experiments");
         std::thread::sleep(Duration::from_millis(5));
     }
     let killed_mid_sweep = child.try_wait().expect("try_wait").is_none();
@@ -145,19 +175,17 @@ fn kill_and_resume(tag: &str, kill_jobs: &str, resume_jobs: &str) {
     let _ = child.wait();
     assert!(
         killed_mid_sweep,
-        "sweep finished before the kill; lower the record threshold"
+        "sweep finished before the kill; lower the experiment threshold"
     );
-    let journaled_at_kill = journal_lines(&victim);
-    assert!(journaled_at_kill >= 4, "kill raced journaling");
+    assert!(finished_experiments(&victim) >= 4, "kill raced the sweep");
 
     run_ok(
-        repro(&victim, &["--jobs", resume_jobs, "--resume", "all"], None),
-        "resumed run",
+        repro(&victim, &["--jobs", resume_jobs, "all"]),
+        "rerun after the kill",
     );
-    // The resume replayed the journaled prefix and recomputed (and
-    // journaled) the rest.
-    assert_eq!(journal_lines(&victim), ALL_EXPERIMENTS);
+    assert_eq!(finished_experiments(&victim), ALL_EXPERIMENTS);
     assert_bytes_identical(&reference, &victim, tag);
+    assert_cache_hits(&victim, tag);
 
     let _ = std::fs::remove_dir_all(&reference);
     let _ = std::fs::remove_dir_all(&victim);
@@ -165,8 +193,8 @@ fn kill_and_resume(tag: &str, kill_jobs: &str, resume_jobs: &str) {
 
 #[test]
 fn kill_and_resume_is_byte_identical_across_widths() {
-    // Kill a wide run, resume narrow: also proves journal records written
-    // under FFET_JOBS=4 replay under FFET_JOBS=1.
+    // Kill a wide run, rerun narrow: also proves stages cached under
+    // FFET_JOBS=4 replay under FFET_JOBS=1.
     kill_and_resume("wide-narrow", "4", "1");
 }
 
@@ -177,75 +205,117 @@ fn kill_and_resume_narrow_to_wide() {
     kill_and_resume("narrow-wide", "1", "4");
 }
 
-/// `ckpt-torn-write` truncates every journal append mid-line — the on-disk
-/// shape of a SIGKILL landing inside the `write(2)` itself. Recovery must
-/// discard the torn garbage and recompute, landing identical artifacts.
+/// The sorted file names in `dir` ending in `suffix`.
+fn names_ending(dir: &Path, suffix: &str) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read objects dir")
+        .filter_map(Result::ok)
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(suffix))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Damage to the stage-cache store — a truncated blob, a garbage key
+/// link, an orphan `*.tmp` from a killed writer — costs recompute time,
+/// never correctness. A fault plan cannot reach the store (any plan turns
+/// the cache off), so the test damages the files on disk itself.
 #[test]
-fn torn_journal_appends_recover_to_identical_artifacts() {
-    let reference = scratch("torn-ref");
+fn damaged_store_reruns_to_identical_artifacts() {
+    let reference = scratch("store-ref");
     run_ok(
-        repro(&reference, &["--jobs", "2", "fig11"], None),
+        repro(&reference, &["--jobs", "2", "fig11"]),
         "reference fig11",
     );
 
-    let victim = scratch("torn-victim");
-    run_ok(
-        repro(&victim, &["--jobs", "2", "fig11"], Some("ckpt-torn-write")),
-        "fig11 with torn journal appends",
-    );
+    let victim = scratch("store-victim");
+    run_ok(repro(&victim, &["--jobs", "2", "fig11"]), "cold fig11");
+    let objects = victim.join(OBJECTS);
+    let blob = names_ending(&objects, ".blob")
+        .into_iter()
+        .next()
+        .expect("the cold run stored blobs");
+    let bytes = std::fs::read(objects.join(&blob)).expect("read blob");
+    std::fs::write(objects.join(&blob), &bytes[..bytes.len() / 2]).expect("truncate blob");
+    let key = names_ending(&objects, ".key")
+        .into_iter()
+        .next()
+        .expect("the cold run stored key links");
+    std::fs::write(objects.join(&key), "not an address").expect("garble key");
+    let tmp = objects.join("0123456789abcdef.blob.4242-0.tmp");
+    std::fs::write(&tmp, "half a payload").expect("write orphan tmp");
+
+    let addr = blob.trim_end_matches(".blob").to_owned();
+    let damage = stagecache::verify(&objects).expect("verify damaged store");
     assert_eq!(
-        journal_lines(&victim),
-        0,
-        "every record was torn mid-append"
+        damage.corrupt,
+        vec![addr],
+        "verify missed the truncated blob"
     );
-    // Same fault env on resume (the fault plan is part of the config
-    // signature): the torn record validates nothing, so the experiment is
-    // recomputed — and the ckpt faults are flow-neutral, so the artifacts
-    // still match a fault-free run byte-for-byte.
+    assert!(damage.dangling >= 1, "verify missed the garbage key");
+    let stats = stagecache::stats(&objects).expect("stats of damaged store");
+    assert_eq!(stats.tmp_orphans, 1, "stats missed the orphan tmp");
+
     run_ok(
-        repro(
-            &victim,
-            &["--jobs", "2", "--resume", "fig11"],
-            Some("ckpt-torn-write"),
-        ),
-        "resume over torn journal",
+        repro(&victim, &["--jobs", "2", "fig11"]),
+        "rerun over the damaged store",
     );
-    assert_bytes_identical(&reference, &victim, "torn-write");
+    assert_bytes_identical(&reference, &victim, "damaged store");
+    assert_cache_hits(&victim, "damaged store");
+
+    let gc = stagecache::gc(&objects).expect("gc damaged store");
+    assert!(gc.removed_blobs >= 1, "gc kept the truncated blob: {gc:?}");
+    assert_eq!(gc.removed_tmp, 1, "gc kept the orphan tmp: {gc:?}");
+    assert!(!objects.join(&blob).exists(), "truncated blob survived gc");
+    assert!(!tmp.exists(), "orphan tmp survived gc");
+    let clean = stagecache::verify(&objects).expect("verify after gc");
+    assert!(clean.corrupt.is_empty() && clean.dangling == 0, "{clean:?}");
 
     let _ = std::fs::remove_dir_all(&reference);
     let _ = std::fs::remove_dir_all(&victim);
 }
 
-/// `ckpt-stale` corrupts the record checksum: the journal line is intact
-/// but fails validation, so resume must treat it (and everything after
-/// it) as garbage and recompute.
+/// A key link that is complete on disk but names no valid address is a
+/// miss: the rerun recomputes that stage, lands identical artifacts, and
+/// rewrites the link to its original content address — no `gc` needed.
 #[test]
-fn stale_journal_records_are_discarded_on_resume() {
-    let reference = scratch("stale-ref");
+fn stale_key_links_are_discarded_on_rerun() {
+    let reference = scratch("link-ref");
     run_ok(
-        repro(&reference, &["--jobs", "2", "fig11"], None),
+        repro(&reference, &["--jobs", "2", "fig11"]),
         "reference fig11",
     );
 
-    let victim = scratch("stale-victim");
+    let victim = scratch("link-victim");
+    run_ok(repro(&victim, &["--jobs", "2", "fig11"]), "cold fig11");
+    let objects = victim.join(OBJECTS);
+    let links = names_ending(&objects, ".key");
+    let key = links.first().expect("the cold run stored key links");
+    let addr = std::fs::read_to_string(objects.join(key)).expect("read key link");
+    // Same length as an address, but not hex.
+    std::fs::write(objects.join(key), "z".repeat(addr.len())).expect("garble key");
+    let damage = stagecache::verify(&objects).expect("verify damaged store");
+    assert!(damage.corrupt.is_empty(), "no blob was touched: {damage:?}");
+    assert_eq!(damage.dangling, 1, "verify missed the stale key link");
+
     run_ok(
-        repro(&victim, &["--jobs", "2", "fig11"], Some("ckpt-stale")),
-        "fig11 with stale journal records",
+        repro(&victim, &["--jobs", "2", "fig11"]),
+        "rerun over the stale key link",
     );
+    assert_bytes_identical(&reference, &victim, "stale key link");
+    assert_cache_hits(&victim, "stale key link");
+
+    // The recomputed stage stored the same bytes, so its link names the
+    // same address again and the store verifies clean.
     assert_eq!(
-        journal_lines(&victim),
-        1,
-        "the stale record is complete on disk, just invalid"
+        std::fs::read_to_string(objects.join(key)).expect("reread key link"),
+        addr,
+        "the rerun did not rewrite the stale link to its original address"
     );
-    run_ok(
-        repro(
-            &victim,
-            &["--jobs", "2", "--resume", "fig11"],
-            Some("ckpt-stale"),
-        ),
-        "resume over stale journal",
-    );
-    assert_bytes_identical(&reference, &victim, "ckpt-stale");
+    assert_eq!(names_ending(&objects, ".key"), links, "link set changed");
+    let clean = stagecache::verify(&objects).expect("verify after rerun");
+    assert!(clean.corrupt.is_empty() && clean.dangling == 0, "{clean:?}");
 
     let _ = std::fs::remove_dir_all(&reference);
     let _ = std::fs::remove_dir_all(&victim);

@@ -40,6 +40,7 @@ use crate::flow::FlowConfig;
 use ffet_geom::{Orientation, Point, Rect};
 use ffet_lefdef::{Def, DefComponent, DefConnection, DefNet, DefSpecialNet, DefVia, DefWire};
 use ffet_netlist::{InstId, Instance, Net, NetId, Netlist, PinRef, Port, PortDirection};
+use ffet_obs::record;
 use ffet_obs::{AttrValue, Histogram, MetricsSnapshot, PointData, SpanEvent};
 use ffet_pnr::{
     ClockTree, Floorplan, Placement, PnrResult, PowerPlan, RoutedNet, RoutingResult, Row, TapCell,
@@ -61,8 +62,7 @@ pub const PAYLOAD_VERSION: u64 = 1;
 /// and `cargo test` is multi-threaded).
 pub const STAGE_CACHE_ENV: &str = "FFET_STAGE_CACHE";
 
-/// Default cache root, relative to the run's working directory (inside the
-/// PR 8 checkpoint directory, beside the experiment-level blobs).
+/// Default cache root, relative to the run's working directory.
 pub const DEFAULT_ROOT: &str = "results/ckpt/objects";
 
 /// Manifest file inside the cache root: append-only size/stage accounting
@@ -1386,14 +1386,18 @@ impl StageCache {
         let _guard = MANIFEST_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let body = format!("{{\"addr\":\"{addr}\",\"stage\":\"{stage}\",\"bytes\":{bytes}}}");
-        let line = format!("v1 {} {body}\n", hash_hex(fnv1a64(body.as_bytes())));
+        let line = record::seal(&manifest_body(addr, stage, bytes as u64));
         let _ = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(self.root.join(MANIFEST_FILE))
             .and_then(|mut f| f.write_all(line.as_bytes()));
     }
+}
+
+/// The JSON body of one manifest record.
+fn manifest_body(addr: &str, stage: &str, bytes: u64) -> String {
+    format!("{{\"addr\":\"{addr}\",\"stage\":\"{stage}\",\"bytes\":{bytes}}}")
 }
 
 /// Loads the manifest: `addr → (stage, bytes)`, last record wins. Corrupt
@@ -1405,15 +1409,9 @@ fn load_manifest(root: &Path) -> BTreeMap<String, (String, u64)> {
         return out;
     };
     for line in text.lines() {
-        let Some(rest) = line.strip_prefix("v1 ") else {
+        let Ok(body) = record::open(line) else {
             continue;
         };
-        let Some((crc, body)) = rest.split_once(' ') else {
-            continue;
-        };
-        if hash_hex(fnv1a64(body.as_bytes())) != crc {
-            continue;
-        }
         let Ok(json) = ffet_obs::parse_json(body) else {
             continue;
         };
@@ -1617,8 +1615,7 @@ pub fn gc(root: &Path) -> std::io::Result<GcReport> {
     let mut text = String::new();
     for addr in &referenced {
         if let Some((stage, bytes)) = manifest.get(addr) {
-            let body = format!("{{\"addr\":\"{addr}\",\"stage\":\"{stage}\",\"bytes\":{bytes}}}");
-            let _ = writeln!(text, "v1 {} {body}", hash_hex(fnv1a64(body.as_bytes())));
+            text.push_str(&record::seal(&manifest_body(addr, stage, *bytes)));
         }
     }
     if root.exists() {

@@ -11,19 +11,17 @@
 //!
 //! ## Record format
 //!
-//! One record per line, in the same envelope as the checkpoint journal
-//! (DESIGN §12.2):
+//! One record per line, in the shared [`crate::record`] envelope:
 //!
 //! ```text
 //! v1 <crc16hex> {"v":1,"kind":…,"key":…,"design":…,"cfg":…,"digest":…,
 //!                "counters":{…},"gauges":{…},"timing":{…}}\n
 //! ```
 //!
-//! The checksum is [`fnv1a64`] over the JSON body. Unlike the journal —
-//! whose records form a replay *order*, so a corrupt line invalidates its
-//! whole suffix — ledger entries are independent observations: a torn or
-//! corrupt line is skipped (and counted) and every later valid line is
-//! kept. Loading never rewrites the file.
+//! The checksum is [`crate::fnv1a64`] over the JSON body. Ledger entries are
+//! independent observations: a torn or corrupt line is skipped (and
+//! counted) and every later valid line is kept. Loading never rewrites
+//! the file.
 //!
 //! ## Determinism contract (DESIGN §13)
 //!
@@ -40,35 +38,13 @@ use std::path::Path;
 
 use crate::json::{parse_json, Json};
 use crate::metrics::MetricsSnapshot;
+use crate::record;
 
 /// Ledger schema version; bumped on any incompatible record change.
 pub const LEDGER_VERSION: i64 = 1;
 
-/// Version tag prefixing every record line (shared with the ckpt journal).
-pub const LEDGER_LINE_TAG: &str = "v1";
-
 /// Default ledger file, relative to the run's working directory.
 pub const LEDGER_PATH: &str = "results/ledger/ledger.jsonl";
-
-/// FNV-1a 64-bit hash — the workspace's content-addressing and record
-/// checksum primitive. Stable across platforms and releases by
-/// construction (pure integer arithmetic over bytes). `ffet_core::ckpt`
-/// re-exports this as its journal/store hash.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// 16-digit zero-padded lowercase hex rendering of a hash.
-#[must_use]
-pub fn hash_hex(h: u64) -> String {
-    format!("{h:016x}")
-}
 
 /// The wall-clock (non-deterministic) section of a ledger entry. Everything
 /// in here varies run to run and is excluded from the byte-identity
@@ -286,24 +262,13 @@ impl LedgerEntry {
     /// newline included.
     #[must_use]
     pub fn render_line(&self) -> String {
-        let body = self.to_json().render();
-        let crc = hash_hex(fnv1a64(body.as_bytes()));
-        format!("{LEDGER_LINE_TAG} {crc} {body}\n")
+        record::seal(&self.to_json().render())
     }
 
     /// Parses one newline-stripped record line, validating the version tag
     /// and checksum.
     pub fn parse_line(line: &str) -> Result<LedgerEntry, String> {
-        let rest = line
-            .strip_prefix(LEDGER_LINE_TAG)
-            .and_then(|r| r.strip_prefix(' '))
-            .ok_or_else(|| format!("not a {LEDGER_LINE_TAG} record: {line:?}"))?;
-        let (crc, body) = rest
-            .split_once(' ')
-            .ok_or_else(|| "record has no checksum separator".to_owned())?;
-        if hash_hex(fnv1a64(body.as_bytes())) != crc {
-            return Err("record checksum mismatch".into());
-        }
+        let body = record::open(line).map_err(|e| e.to_string())?;
         LedgerEntry::from_json(&parse_json(body)?)
     }
 }
@@ -324,9 +289,9 @@ pub struct Ledger {
 impl Ledger {
     /// Loads the ledger at `path`. A missing file loads as empty. Invalid
     /// lines are *skipped*, never repaired in place: ledger entries are
-    /// independent observations (unlike journal records, which form a
-    /// replay order), so one bad line must not discard the history after
-    /// it — and an observability artifact should never rewrite itself.
+    /// independent observations, so one bad line must not discard the
+    /// history after it — and an observability artifact should never
+    /// rewrite itself.
     pub fn load(path: &Path) -> std::io::Result<Ledger> {
         let text = match fs::read_to_string(path) {
             Ok(t) => t,
@@ -354,9 +319,9 @@ impl Ledger {
     }
 
     /// Appends one record to the ledger at `path`, creating parents as
-    /// needed. The append is a single `write_all` of one line — the same
-    /// posture as the checkpoint journal: a mid-append kill leaves at
-    /// worst a torn final line, which [`Ledger::load`] skips.
+    /// needed. The append is a single `write_all` of one line, so a
+    /// mid-append kill leaves at worst a torn final line, which
+    /// [`Ledger::load`] skips.
     pub fn append(path: &Path, entry: &LedgerEntry) -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -377,6 +342,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{fnv1a64, hash_hex, RecordError};
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -426,6 +392,26 @@ mod tests {
         // ordered stage/bench vectors survive the round trip in order.
         assert_eq!(parsed.render_line(), line);
         assert_eq!(parsed.timing.stages, entry.timing.stages);
+        // The envelope is the shared record frame: its body is the entry
+        // JSON, and each way of breaking the frame has its own error.
+        let body = entry.to_json().render();
+        assert_eq!(record::open(line.trim_end()), Ok(body.as_str()));
+        let crc = hash_hex(fnv1a64(body.as_bytes()));
+        assert_eq!(
+            record::open(&format!("v2 {crc} {body}")),
+            Err(RecordError::Tag)
+        );
+        assert_eq!(
+            record::open(&format!("v1 0000000000000000 {body}")),
+            Err(RecordError::Checksum)
+        );
+        assert_eq!(
+            record::open(&format!("v1 {crc}")),
+            Err(RecordError::Separator)
+        );
+        for broken in ["v2 0 {}", "v1 0000000000000000 {}", "v1 nobody"] {
+            assert!(LedgerEntry::parse_line(broken).is_err(), "{broken}");
+        }
     }
 
     #[test]

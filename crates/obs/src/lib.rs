@@ -20,6 +20,7 @@ mod json;
 pub mod ledger;
 mod metrics;
 pub mod perf;
+pub mod record;
 mod render;
 pub mod trace;
 
@@ -31,8 +32,9 @@ use std::time::Instant;
 
 pub use export::{chrome_trace, validate_chrome_trace, ChromeTraceStats};
 pub use json::{parse_json, Json};
-pub use ledger::{fnv1a64, hash_hex, Ledger, LedgerEntry, LedgerTiming};
+pub use ledger::{Ledger, LedgerEntry, LedgerTiming};
 pub use metrics::{Histogram, MetricsSnapshot, BUCKET_EDGES};
+pub use record::{fnv1a64, hash_hex};
 pub use render::render_point;
 pub use trace::{
     parse_point, point_labels, strip_timing, validate_trace, LabeledPoint, RunArtifacts,

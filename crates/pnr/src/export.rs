@@ -93,7 +93,7 @@ mod tests {
     use crate::floorplan::floorplan;
     use crate::placement::place;
     use crate::powerplan::powerplan;
-    use crate::route::route_nets;
+    use crate::route::{route_nets_opts, RouteOpts};
     use crate::{dualside::decompose_nets, grid::RoutingGrid};
     use ffet_lefdef::{merge_defs, parse_def, write_def};
     use ffet_netlist::NetlistBuilder;
@@ -129,7 +129,13 @@ mod tests {
         let pl = place(&nl, &lib, &fp, &pp, 1);
         let side_nets = decompose_nets(&nl, &lib, &pl, pattern).unwrap();
         let mut grid = RoutingGrid::new(lib.tech(), fp.die, pattern);
-        let routing = route_nets(lib.tech(), &mut grid, &side_nets, pattern);
+        let routing = route_nets_opts(
+            lib.tech(),
+            &mut grid,
+            &side_nets,
+            pattern,
+            &RouteOpts::default(),
+        );
         let (front, back) = export_defs(&nl, &lib, &fp, &pp, &pl, &routing);
 
         // Both sides agree on components; merge succeeds.

@@ -66,10 +66,7 @@ pub use grid::{GCell, HotGcell, RoutingGrid};
 pub use integrity::{analyze_pdn, PdnReport};
 pub use placement::{place, Placement};
 pub use powerplan::{powerplan, PowerPlan, TapCell};
-pub use route::{
-    pattern_path, route_nets, route_nets_opts, route_nets_with_effort, RouteOpts, RoutedNet,
-    RoutingResult,
-};
+pub use route::{pattern_path, route_nets_opts, RouteOpts, RoutedNet, RoutingResult};
 
 use ffet_cells::{Library, PinSides};
 use ffet_lefdef::Def;

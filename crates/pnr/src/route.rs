@@ -116,39 +116,9 @@ impl Default for RouteOpts {
 }
 
 /// Routes all decomposed nets on the grid. `grid` must already carry the
-/// pin-access demand.
-#[must_use]
-pub fn route_nets(
-    tech: &Technology,
-    grid: &mut RoutingGrid,
-    side_nets: &[SideNet],
-    pattern: RoutingPattern,
-) -> RoutingResult {
-    route_nets_opts(tech, grid, side_nets, pattern, &RouteOpts::default())
-}
-
-/// [`route_nets`] with `extra_rounds` additional rip-up-and-reroute
-/// iterations on top of the calibrated [`REROUTE_ITERATIONS`] budget — the
-/// first rung of the flow-recovery ladder. With `extra_rounds == 0` this is
-/// exactly `route_nets`; a congestion-free run exits the loop early either
-/// way, so the knob only changes outcomes that still carry overflow.
-#[must_use]
-pub fn route_nets_with_effort(
-    tech: &Technology,
-    grid: &mut RoutingGrid,
-    side_nets: &[SideNet],
-    pattern: RoutingPattern,
-    extra_rounds: u32,
-) -> RoutingResult {
-    let opts = RouteOpts {
-        extra_rounds,
-        ..RouteOpts::default()
-    };
-    route_nets_opts(tech, grid, side_nets, pattern, &opts)
-}
-
-/// The full router entry point: [`route_nets`] plus every knob of the
-/// batched negotiated-congestion loop (see [`RouteOpts`]).
+/// pin-access demand. Every knob of the batched negotiated-congestion loop
+/// rides in [`RouteOpts`]; `RouteOpts::default()` is the calibrated
+/// single-threaded router.
 #[must_use]
 pub fn route_nets_opts(
     tech: &Technology,
@@ -845,7 +815,7 @@ mod tests {
             Point::new(1_000, 1_000),
             Point::new(31_000, 21_000),
         ])];
-        let r = route_nets(&tech, &mut grid, &nets, pattern);
+        let r = route_nets_opts(&tech, &mut grid, &nets, pattern, &RouteOpts::default());
         assert_eq!(r.drv_count, 0);
         let hpwl = 30_000 + 20_000;
         assert!(
@@ -867,7 +837,7 @@ mod tests {
             Point::new(41_000, 1_000),
             Point::new(21_000, 1_000),
         ])];
-        let r = route_nets(&tech, &mut grid, &nets, pattern);
+        let r = route_nets_opts(&tech, &mut grid, &nets, pattern, &RouteOpts::default());
         assert!(
             r.wirelength_nm < 50_000,
             "wl {} suggests star routing",
@@ -890,7 +860,7 @@ mod tests {
                 ])
             })
             .collect();
-        let r = route_nets(&tech, &mut grid1, &nets, pattern);
+        let r = route_nets_opts(&tech, &mut grid1, &nets, pattern, &RouteOpts::default());
         assert!(r.drv_count > 0, "expected overflow, got none");
         assert!(r.overflow_tracks > 0.0);
         let _ = &mut grid; // silence unused
@@ -910,7 +880,7 @@ mod tests {
                 side_net(vec![Point::new(500, y), Point::new(59_000, 48_000 - y)])
             })
             .collect();
-        let r = route_nets(&tech, &mut grid, &nets, pattern);
+        let r = route_nets_opts(&tech, &mut grid, &nets, pattern, &RouteOpts::default());
         // All nets still connected (geometry emitted).
         assert!(r.nets.iter().all(|n| !n.wires.is_empty()));
         assert!(r.wirelength_nm > 0);
@@ -929,7 +899,7 @@ mod tests {
             },
             side_net(vec![Point::new(1_000, 5_000), Point::new(6_000, 5_000)]),
         ];
-        let r = route_nets(&tech, &mut grid, &nets, pattern);
+        let r = route_nets_opts(&tech, &mut grid, &nets, pattern, &RouteOpts::default());
         assert!(r.back_wirelength_nm >= 10_000);
         assert!(r.wirelength_nm > r.back_wirelength_nm);
         assert!(r.nets[0].wires.iter().all(|w| w.layer.side == Side::Back));

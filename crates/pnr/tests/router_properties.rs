@@ -3,7 +3,7 @@
 
 use ffet_geom::{Point, Rng64};
 use ffet_netlist::NetId;
-use ffet_pnr::{route_nets, RoutingGrid, SideNet};
+use ffet_pnr::{route_nets_opts, RouteOpts, RoutingGrid, SideNet};
 use ffet_tech::{RoutingPattern, Side, Technology};
 
 fn random_side_net(rng: &mut Rng64, idx: u32, die: i64) -> SideNet {
@@ -39,9 +39,15 @@ fn routed_geometry_is_sound() {
             .collect();
 
         let mut grid = RoutingGrid::new(&tech, ffet_geom::Rect::new(0, 0, die, die), pattern);
-        let r1 = route_nets(&tech, &mut grid, &side_nets, pattern);
+        let r1 = route_nets_opts(&tech, &mut grid, &side_nets, pattern, &RouteOpts::default());
         let mut grid2 = RoutingGrid::new(&tech, ffet_geom::Rect::new(0, 0, die, die), pattern);
-        let r2 = route_nets(&tech, &mut grid2, &side_nets, pattern);
+        let r2 = route_nets_opts(
+            &tech,
+            &mut grid2,
+            &side_nets,
+            pattern,
+            &RouteOpts::default(),
+        );
         // Determinism.
         assert_eq!(r1.wirelength_nm, r2.wirelength_nm);
         assert_eq!(r1.drv_count, r2.drv_count);

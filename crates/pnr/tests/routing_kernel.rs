@@ -10,7 +10,7 @@
 use ffet_geom::{Axis, Point, Rect, Rng64};
 use ffet_netlist::NetId;
 use ffet_pnr::maze::{self, MazeScratch};
-use ffet_pnr::{pattern_path, route_nets, RoutingGrid, SideNet};
+use ffet_pnr::{pattern_path, route_nets_opts, RouteOpts, RoutingGrid, SideNet};
 use ffet_tech::{RoutingPattern, Side, Technology};
 
 /// A grid over a `die`-nm square with seeded random demand sprinkled on
@@ -133,7 +133,7 @@ fn congestion_free_run_visits_no_connections() {
         pins: vec![Point::new(1_000, 1_000), Point::new(20_000, 18_000)],
         is_clock: false,
     }];
-    let result = route_nets(&tech, &mut grid, &side_nets, pattern);
+    let result = route_nets_opts(&tech, &mut grid, &side_nets, pattern, &RouteOpts::default());
     drop(guard);
     assert_eq!(result.drv_count, 0, "single net must route cleanly");
     let data = collector.finish();
@@ -169,7 +169,7 @@ fn unrelated_overflow_keeps_dirty_set_empty() {
         pins: vec![Point::new(500, 500), Point::new(4_000, 3_000)],
         is_clock: false,
     }];
-    let _ = route_nets(&tech, &mut grid, &side_nets, pattern);
+    let _ = route_nets_opts(&tech, &mut grid, &side_nets, pattern, &RouteOpts::default());
     drop(guard);
     let data = collector.finish();
     assert!(

@@ -12,7 +12,9 @@
 use ffet_cells::Library;
 use ffet_lefdef::{merge_defs, write_lef};
 use ffet_netlist::NetlistBuilder;
-use ffet_pnr::{decompose_nets, floorplan, place, powerplan, route_nets, RoutingGrid};
+use ffet_pnr::{
+    decompose_nets, floorplan, place, powerplan, route_nets_opts, RouteOpts, RoutingGrid,
+};
 use ffet_tech::{RoutingPattern, Side, Technology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -66,7 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Route both sides independently on the shared congestion grid.
     let mut grid = RoutingGrid::new(library.tech(), fp.die, pattern);
-    let routing = route_nets(library.tech(), &mut grid, &side_nets, pattern);
+    let routing = route_nets_opts(
+        library.tech(),
+        &mut grid,
+        &side_nets,
+        pattern,
+        &RouteOpts::default(),
+    );
     println!(
         "routing: {:.1} µm total ({:.1} µm backside), {} vias, overflow {:.0}",
         routing.wirelength_nm as f64 / 1e3,

@@ -522,21 +522,6 @@ fn stage_timeout_disposition_reaches_runlog_at_any_width() {
     assert_eq!(rows, run(4), "timeout rows diverged across pool widths");
 }
 
-/// `ckpt-torn-write` and `ckpt-stale` corrupt the *journal layer* only:
-/// carried in the flow's fault plan they must be inert, producing a
-/// signoff-clean report identical to a fault-free run. (Their journal-side
-/// behavior is proven in `ffet_core::ckpt`'s unit tests and the
-/// crash-resume integration test.)
-#[test]
-fn ckpt_faults_are_flow_neutral() {
-    let clean = run_with_plan(&base_config()).expect("baseline is clean");
-    for kind in [FaultKind::CkptTornWrite, FaultKind::CkptStale] {
-        let o = run_with(kind).unwrap_or_else(|e| panic!("{kind:?} perturbed the flow: {e}"));
-        assert!(o.signoff.is_clean(), "{kind:?} dirtied signoff");
-        assert_eq!(o.report, clean.report, "{kind:?} changed the PPA report");
-    }
-}
-
 /// The tentpole determinism guarantee: a sweep whose points go through the
 /// recovery ladder (including a transient fault) produces byte-identical
 /// results and identical dispositions at every pool width.
