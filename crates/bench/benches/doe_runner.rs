@@ -15,11 +15,12 @@ fn main() {
     let mut group = BenchGroup::new("doe_runner");
     group.sample_size(5);
 
+    let fig9 = experiments::find("fig9").expect("fig9 is registered");
     group.bench_function("fig9_counter_jobs1", || {
-        experiments::fig9_on(DesignKind::CounterSmall, &Pool::new(1))
+        fig9.run(DesignKind::CounterSmall, &Pool::new(1))
     });
     group.bench_function("fig9_counter_jobs4", || {
-        experiments::fig9_on(DesignKind::CounterSmall, &Pool::new(4))
+        fig9.run(DesignKind::CounterSmall, &Pool::new(4))
     });
 
     // Raw engine overhead: 256 no-op jobs through the injector + stealing

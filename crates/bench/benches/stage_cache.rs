@@ -36,17 +36,18 @@ fn main() {
     // single-threaded here, pool workers only read configs handed to them).
     std::env::set_var(ffet_core::STAGE_CACHE_ENV, &objects);
     let pool = Pool::new(4);
+    let fig11 = experiments::find("fig11").expect("fig11 is registered");
 
     // Instrumented single runs first: a cold run's misses count the stage
     // invocations it executed; the warm rerun's misses count what the
     // cache could not absorb. The ≥30% reduction claim is about these
     // counts, not wall clock.
     ffet_obs::cache_stats_reset();
-    let _ = experiments::fig11_on(DesignKind::CounterSmall, &pool);
+    let _ = fig11.run(DesignKind::CounterSmall, &pool);
     let cold_execs = stat_total("miss");
     let cold_hits = stat_total("hit");
     ffet_obs::cache_stats_reset();
-    let _ = experiments::fig11_on(DesignKind::CounterSmall, &pool);
+    let _ = fig11.run(DesignKind::CounterSmall, &pool);
     let warm_execs = stat_total("miss");
     let warm_hits = stat_total("hit");
     let reduction_pct = if cold_execs > 0 {
@@ -62,13 +63,13 @@ fn main() {
         // Wiping the store inside the closure keeps every sample cold;
         // the removal itself is microseconds against a sweep.
         let _ = std::fs::remove_dir_all(&objects);
-        experiments::fig11_on(DesignKind::CounterSmall, &pool).means
+        fig11.run(DesignKind::CounterSmall, &pool).table
     });
 
     // The harness's untimed warmup call primes the store, so every timed
     // sample replays from a fully warm cache.
     let warm_med = group.bench_function_timed("fig11_counter_warm", || {
-        experiments::fig11_on(DesignKind::CounterSmall, &pool).means
+        fig11.run(DesignKind::CounterSmall, &pool).table
     });
     let legs = group.finish();
 

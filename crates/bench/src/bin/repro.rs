@@ -3,8 +3,8 @@
 //! ```text
 //! repro [--jobs N] [--route-jobs N] [--design counter|rv32] [--max-attempts N]
 //!       [--deadline SECS] [--no-cache] <experiment>
-//!                      # table1 table2 fig4 fig8 fig9 fig10 fig11 table3 fig12 fig13 ablation
-//! repro all            # everything
+//!                      # any name in ffet_core::experiments::EXPERIMENTS
+//! repro all            # every registered experiment, in registry order
 //! repro sanity         # one FFET + one CFET baseline run, printed verbosely
 //! repro trace [point]  # render one point of results/trace.jsonl (or list points)
 //! ```
@@ -54,9 +54,9 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use ffet_core::ckpt;
-use ffet_core::experiments::{self, DesignKind, ExpTable};
-use ffet_core::runner::{Pool, RunLog, RunLogRow};
-use ffet_obs::{LabeledPoint, RunArtifacts};
+use ffet_core::experiments::{self, DesignKind, ExpTable, Experiment};
+use ffet_core::runner::{Pool, RunLog};
+use ffet_obs::RunArtifacts;
 use std::env;
 use std::path::Path;
 use std::time::Instant;
@@ -72,72 +72,13 @@ fn emit(name: &str, table: &ExpTable) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One experiment's outputs: the printable/plottable table plus the DoE
-/// engine's per-job telemetry and per-point traces (both empty for the
-/// analytic tables).
-struct ExpRun {
-    table: ExpTable,
-    rows: Vec<RunLogRow>,
-    traces: Vec<LabeledPoint>,
-}
-
-fn run_one(name: &str, design: DesignKind, pool: &Pool) -> Option<ExpRun> {
-    let (table, rows, traces) = match name {
-        "table1" => (experiments::table1().table, Vec::new(), Vec::new()),
-        "table2" => (experiments::table2().table, Vec::new(), Vec::new()),
-        "fig4" => (experiments::fig4().table, Vec::new(), Vec::new()),
-        "fig8" => {
-            let r = experiments::fig8_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "fig9" => {
-            let r = experiments::fig9_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "fig10" => {
-            let r = experiments::fig10_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "fig11" => {
-            let r = experiments::fig11_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "table3" => {
-            let r = experiments::table3_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "fig12" => {
-            let r = experiments::fig12_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "fig13" => {
-            let r = experiments::fig13_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "ablation" => {
-            let r = experiments::bridging_ablation_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        _ => return None,
-    };
-    Some(ExpRun {
-        table,
-        rows,
-        traces,
-    })
-}
-
-const ALL: [&str; 11] = [
-    "table1", "table2", "fig4", "fig8", "fig9", "fig10", "fig11", "table3", "fig12", "fig13",
-    "ablation",
-];
-
 fn usage() -> ! {
+    let names: Vec<&str> = experiments::EXPERIMENTS.iter().map(|e| e.name).collect();
     eprintln!(
         "usage: repro [--jobs N] [--route-jobs N] [--design counter|rv32] [--max-attempts N] \
-         [--deadline SECS] [--no-cache] \
-         <sanity|calib|hotspots|critpath|table1|table2|fig4|fig8|fig9|fig10|fig11|table3|fig12|fig13|ablation|all>\n\
-         \x20      repro trace [point]   # render one point of results/trace.jsonl"
+         [--deadline SECS] [--no-cache] <sanity|calib|hotspots|critpath|{}|all>\n\
+         \x20      repro trace [point]   # render one point of results/trace.jsonl",
+        names.join("|")
     );
     std::process::exit(2);
 }
@@ -377,32 +318,25 @@ fn main() {
     let mut log = RunLog::new(pool.width());
     let mut artifacts = RunArtifacts::new(pool.width());
     let mut failed = false;
-    let mut run_and_emit = |name: &str| -> bool {
+    let mut run_and_emit = |exp: &Experiment| {
         let t = Instant::now();
-        let Some(run) = run_one(name, design, &pool) else {
-            return false;
-        };
+        let name = exp.name;
+        let run = exp.run(design, &pool);
         if let Err(e) = emit(name, &run.table) {
             eprintln!("error: could not write results/{name}.csv: {e}");
             failed = true;
         }
         artifacts.extend(run.traces);
-        log.record_experiment(name, run.rows, t.elapsed());
+        log.record_experiment(name, run.runlog, t.elapsed());
         eprintln!("[{name}: {:?}, {}]", t.elapsed(), log.summary(name));
-        true
     };
     match arg.as_str() {
         "sanity" => sanity(),
         "calib" => calib(),
         "hotspots" => hotspots(),
         "critpath" => critpath(),
-        "all" => {
-            for name in ALL {
-                run_and_emit(name);
-            }
-        }
-        other if run_and_emit(other) => {}
-        _ => usage(),
+        "all" => experiments::EXPERIMENTS.iter().for_each(&mut run_and_emit),
+        name => run_and_emit(experiments::find(name).unwrap_or_else(|| usage())),
     }
     // Stage-cache hit/miss/store counts are process-global and depend on
     // prior disk state, so they ride in the stripped `timing` section of
@@ -423,7 +357,7 @@ fn main() {
     // Every sweep invocation appends one record to the cross-run ledger
     // (DESIGN §13); `sanity`/`calib` and the other diagnostics do not. A
     // ledger failure degrades observability, not the run.
-    if arg == "all" || ALL.contains(&arg.as_str()) {
+    if arg == "all" || experiments::find(&arg).is_some() {
         artifacts.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let cfg = ckpt::config_signature(design);
         let entry = ledger_entry(&arg, design, &cfg, &pool, &log, &artifacts);

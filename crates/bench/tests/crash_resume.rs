@@ -10,6 +10,7 @@
 //! the contract (DESIGN §7, §12). Every rerun must also report stage-cache
 //! hits, so a rerun that silently recomputes everything fails.
 
+use ffet_core::experiments::EXPERIMENTS;
 use ffet_core::stagecache;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -17,9 +18,6 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
-
-/// Experiment count of `repro all` — the CSV count of a finished sweep.
-const ALL_EXPERIMENTS: usize = 11;
 
 /// The stage-cache root `repro` uses by default, relative to its cwd.
 const OBJECTS: &str = "results/ckpt/objects";
@@ -154,7 +152,7 @@ fn kill_and_resume(tag: &str, kill_jobs: &str, resume_jobs: &str) {
         repro(&reference, &["--jobs", "4", "all"]),
         "uninterrupted reference run",
     );
-    assert_eq!(finished_experiments(&reference), ALL_EXPERIMENTS);
+    assert_eq!(finished_experiments(&reference), EXPERIMENTS.len());
 
     let victim = scratch(&format!("{tag}-victim"));
     let mut child = repro(&victim, &["--jobs", kill_jobs, "all"])
@@ -183,7 +181,7 @@ fn kill_and_resume(tag: &str, kill_jobs: &str, resume_jobs: &str) {
         repro(&victim, &["--jobs", resume_jobs, "all"]),
         "rerun after the kill",
     );
-    assert_eq!(finished_experiments(&victim), ALL_EXPERIMENTS);
+    assert_eq!(finished_experiments(&victim), EXPERIMENTS.len());
     assert_bytes_identical(&reference, &victim, tag);
     assert_cache_hits(&victim, tag);
 

@@ -1,9 +1,14 @@
 //! Experiment runners regenerating every table and figure of the paper's
-//! evaluation (§IV). Each function returns a typed result whose `table` can
-//! be rendered with [`ExpTable::render`] or serialized with
-//! [`ExpTable::to_csv`]; flow experiments additionally carry per-point
-//! traces (spans + metrics from `ffet-obs`) for the run artifacts. The
-//! `repro` binary in `ffet-bench` is the command-line driver.
+//! evaluation (§IV), declared as data in [`EXPERIMENTS`]. Each entry names
+//! the series it runs (a label, a base [`FlowConfig`], labelled points and
+//! the placement seeds each point tries) and a renderer, a pure function
+//! from the assembled [`SeriesResult`]s to an [`ExpTable`]. One
+//! engine, [`Experiment::run`], runs every entry and returns an [`ExpRun`];
+//! the analytic tables (Table I, Table II, Fig. 4) have no series. Tables
+//! render with [`ExpTable::render`] or serialize with [`ExpTable::to_csv`];
+//! flow experiments additionally carry per-point traces (spans + metrics
+//! from `ffet-obs`) for the run artifacts. The `repro` binary in
+//! `ffet-bench` is the command-line driver.
 //!
 //! The benchmark design is the gate-level RV32I core
 //! ([`crate::designs::rv32_core`]); set [`DesignKind::CounterSmall`] for
@@ -264,7 +269,7 @@ pub fn table2() -> Table2 {
     Table2 {
         table: ExpTable {
             title: "Table II — layer pitches (nm), virtual 5nm PDK".into(),
-            header: vec!["Layer".into(), "4T CFET".into(), "3.5T FFET".into()],
+            header: header_row(&["Layer", "4T CFET", "3.5T FFET"]),
             rows,
             notes: vec!["CFET BM1/BM2 are PDN-only (3200/2400 nm)".into()],
         },
@@ -303,12 +308,7 @@ pub fn fig4() -> Fig4 {
     Fig4 {
         table: ExpTable {
             title: "Fig. 4 — standard-cell area, 3.5T FFET vs 4T CFET".into(),
-            header: vec![
-                "Cell".into(),
-                "CFET µm²".into(),
-                "FFET µm²".into(),
-                "FFET Δarea".into(),
-            ],
+            header: header_row(&["Cell", "CFET µm²", "FFET µm²", "FFET Δarea"]),
             rows,
             notes: vec![format!(
                 "average scaling {:.1}% (paper: ~12.5% plus extra MUX/DFF savings)",
@@ -320,8 +320,221 @@ pub fn fig4() -> Fig4 {
 }
 
 // ---------------------------------------------------------------------
-// Flow-based experiments
+// The registry
 // ---------------------------------------------------------------------
+
+/// One experiment of the paper's evaluation, declared as data: the series
+/// it runs and the renderer that turns their results into its table.
+#[derive(Debug)]
+pub struct Experiment {
+    /// CLI name (`repro <name>`), CSV stem and trace-label prefix.
+    pub name: &'static str,
+    /// The series to run, in table order; empty for the analytic tables,
+    /// which read the cell libraries and run no flow.
+    series: fn() -> Vec<Series>,
+    /// Renders the assembled series (pure: no flow runs here).
+    render: fn(&[SeriesResult]) -> ExpTable,
+}
+
+/// Every experiment, in `repro all` order.
+pub static EXPERIMENTS: &[Experiment] = &[
+    Experiment::new("table1", Vec::new, |_| table1().table),
+    Experiment::new("table2", Vec::new, |_| table2().table),
+    Experiment::new("fig4", Vec::new, |_| fig4().table),
+    Experiment::new("fig8", fig8_series, render_fig8),
+    Experiment::new("fig9", fig9_series, render_fig9),
+    Experiment::new("fig10", fig10_series, render_fig10),
+    Experiment::new("fig11", fig11_series, render_fig11),
+    Experiment::new("table3", table3_series, render_table3),
+    Experiment::new("fig12", fig12_series, render_fig12),
+    Experiment::new("fig13", fig13_series, render_fig13),
+    Experiment::new("ablation", ablation_series, render_ablation),
+];
+
+/// Looks an experiment up by name.
+#[must_use]
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+/// One experiment's outputs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExpRun {
+    /// Rendered table.
+    pub table: ExpTable,
+    /// Every series' best-of-seeds results (empty for the analytic tables).
+    pub series: Vec<SeriesResult>,
+    /// Per-job telemetry (outside the determinism contract).
+    pub runlog: Vec<RunLogRow>,
+    /// Per-point spans and metrics for the run artifacts (metric values
+    /// deterministic, span timings wall-clock).
+    pub traces: Vec<LabeledPoint>,
+}
+
+impl Experiment {
+    const fn new(
+        name: &'static str,
+        series: fn() -> Vec<Series>,
+        render: fn(&[SeriesResult]) -> ExpTable,
+    ) -> Experiment {
+        Experiment {
+            name,
+            series,
+            render,
+        }
+    }
+
+    /// Runs the experiment on `pool`: each series' library and netlist are
+    /// built as pool jobs (logged as `build:<series>` rows), then every
+    /// series × point × seed flow job is submitted as one flat grid so the
+    /// pool stays saturated across series boundaries. Results are
+    /// reassembled in submission order, so the outcome is identical for
+    /// every pool width.
+    ///
+    /// A failed build fails its series' points with a zero-attempt
+    /// [`PointFailure`] instead of aborting the experiment.
+    #[must_use]
+    pub fn run(&self, design: DesignKind, pool: &Pool) -> ExpRun {
+        let series = (self.series)();
+        let mut runlog = Vec::new();
+        let mut traces = Vec::new();
+        let built = pool.run(series.iter().collect(), |s: &&Series| {
+            let library = s.base.build_library()?;
+            let netlist = build_design(&library, design);
+            Ok::<_, FlowError>((library, netlist))
+        });
+        let contexts: Vec<Result<(Library, Netlist), FlowError>> = built
+            .into_iter()
+            .zip(&series)
+            .map(|(o, s)| {
+                runlog.push(RunLogRow::from_stats(
+                    self.name,
+                    format!("build:{}", s.label),
+                    &o.stats,
+                    None,
+                ));
+                o.result.map_err(|e| match e {
+                    JobError::Failed(e) => e,
+                    JobError::Panicked(m) => FlowError::Panicked(m),
+                })
+            })
+            .collect();
+        let contexts: Vec<Result<(&Library, &Netlist), FlowError>> = contexts
+            .iter()
+            .map(|c| c.as_ref().map(|(l, n)| (l, n)).map_err(Clone::clone))
+            .collect();
+        let results = run_grid(
+            pool,
+            self.name,
+            &series,
+            &contexts,
+            &mut runlog,
+            &mut traces,
+        );
+        ExpRun {
+            table: (self.render)(&results),
+            series: results,
+            runlog,
+            traces,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The engine
+// ---------------------------------------------------------------------
+
+/// Placement seeds tried per utilization point. A physical designer
+/// iterates seeds/settings until the block closes; like the paper's
+/// implementations, each reported point is the best (fewest-DRV) run of the
+/// attempts.
+const SWEEP_SEEDS: [u64; 3] = [42, 1042, 9042];
+
+/// One labelled DoE point of a [`Series`].
+struct Point {
+    /// Label segment after the series label (`u0.44`, `t1.50`, `FM8BM4`;
+    /// empty for a single-point series).
+    label: String,
+    /// The point's flow configuration; each run only swaps in its seed.
+    config: FlowConfig,
+}
+
+/// One curve of an experiment: the context (library + netlist) built from
+/// `base`, and the points that run on it.
+struct Series {
+    /// Label segment after the experiment name (empty for a bare sweep).
+    label: String,
+    /// Configuration the series' library, and with it the netlist, is built
+    /// from.
+    base: FlowConfig,
+    /// Points, in table order.
+    points: Vec<Point>,
+    /// Placement seeds each point runs at: [`SWEEP_SEEDS`] on utilization
+    /// axes, else the base seed alone. With several seeds every run's label
+    /// gains an `s{seed}` segment and the point keeps the best run.
+    seeds: Vec<u64>,
+}
+
+impl Series {
+    /// One run per point, at the base seed.
+    fn points(label: &str, base: FlowConfig, points: Vec<(String, FlowConfig)>) -> Series {
+        Series {
+            label: label.to_owned(),
+            points: points
+                .into_iter()
+                .map(|(label, config)| Point { label, config })
+                .collect(),
+            seeds: vec![base.seed],
+            base,
+        }
+    }
+
+    /// A single run of `base`.
+    fn single(label: &str, base: FlowConfig) -> Series {
+        Series::points(label, base.clone(), vec![(String::new(), base)])
+    }
+
+    /// A utilization sweep: one point per utilization, each tried at every
+    /// [`SWEEP_SEEDS`] seed.
+    fn utilization(label: &str, base: FlowConfig, utils: &[f64]) -> Series {
+        let points = utils
+            .iter()
+            .map(|&u| {
+                let config = FlowConfig {
+                    utilization: u,
+                    ..base.clone()
+                };
+                (format!("u{u:.2}"), config)
+            })
+            .collect();
+        Series {
+            seeds: SWEEP_SEEDS.to_vec(),
+            ..Series::points(label, base, points)
+        }
+    }
+}
+
+/// A point's best-of-seeds result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PointResult {
+    /// The point's configuration (at the base seed).
+    pub config: FlowConfig,
+    /// The best run's report.
+    pub report: PpaReport,
+}
+
+/// One series after the engine ran it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SeriesResult {
+    /// The series' label.
+    pub label: String,
+    /// Highest utilization whose best run is valid and closed on-spec (the
+    /// paper's "maximum utilization" metric).
+    pub max_util: Option<f64>,
+    /// Every point at least one seed closed, in series order; a point no
+    /// seed closed is dropped and logged as `skipped`.
+    pub points: Vec<PointResult>,
+}
 
 /// One (utilization, report) point of a sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -332,25 +545,20 @@ pub struct UtilPoint {
     pub report: PpaReport,
 }
 
-/// Placement seeds tried per sweep point. A physical designer iterates
-/// seeds/settings until the block closes; like the paper's implementations,
-/// each reported point is the best (fewest-DRV) run of the attempts.
-const SWEEP_SEEDS: [u64; 3] = [42, 1042, 9042];
-
 /// A flow job's distilled result: the PPA point, its stage telemetry, and
 /// how the recovery ladder disposed of it.
 type FlowPoint = (PpaReport, StageTimes, PointRecovery);
+
+/// Wraps a [`FlowError`] from a context build (before any flow attempt
+/// ran) as a zero-attempt [`PointFailure`].
+fn config_failure(error: FlowError) -> PointFailure {
+    PointFailure { error, attempts: 0 }
+}
 
 /// Runs one flow through the recovery ladder and keeps only what the sweeps
 /// need, dropping the heavy DEF/parasitics artifacts so large DoE grids stay
 /// memory-bounded. A clean point takes exactly one attempt, so sweeps with
 /// no injected faults behave byte-for-byte as before.
-/// Wraps a [`FlowError`] from library construction (before any flow
-/// attempt ran) as a zero-attempt [`PointFailure`].
-fn config_failure(error: crate::FlowError) -> PointFailure {
-    PointFailure { error, attempts: 0 }
-}
-
 fn flow_job(
     netlist: &Netlist,
     library: &Library,
@@ -412,16 +620,130 @@ fn record_point(
     runlog.push(flow_row(experiment, label, o));
 }
 
-/// Runs the flow across a utilization grid on `pool`, returning all points
-/// plus the maximum valid utilization (the paper's "maximum utilization"
-/// metric).
+/// Joins label segments with `/`, dropping empty ones.
+fn join_label(parts: &[&str]) -> String {
+    parts
+        .iter()
+        .filter(|p| !p.is_empty())
+        .copied()
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
+/// Submits every series × point × seed flow job as one flat grid on the
+/// given per-series contexts and folds the outcomes back into one
+/// [`SeriesResult`] per series.
+fn run_grid(
+    pool: &Pool,
+    experiment: &str,
+    series: &[Series],
+    contexts: &[Result<(&Library, &Netlist), FlowError>],
+    runlog: &mut Vec<RunLogRow>,
+    traces: &mut Vec<LabeledPoint>,
+) -> Vec<SeriesResult> {
+    let jobs: Vec<(usize, &FlowConfig, u64)> = series
+        .iter()
+        .enumerate()
+        .flat_map(|(si, s)| {
+            s.points
+                .iter()
+                .flat_map(move |p| s.seeds.iter().map(move |&seed| (si, &p.config, seed)))
+        })
+        .collect();
+    let mut outcomes = pool
+        .run(jobs, |&(si, config, seed)| {
+            let (library, netlist) = contexts[si].clone().map_err(config_failure)?;
+            flow_job(
+                netlist,
+                library,
+                &FlowConfig {
+                    seed,
+                    ..config.clone()
+                },
+            )
+        })
+        .into_iter();
+    series
+        .iter()
+        .map(|s| assemble(experiment, s, &mut outcomes, runlog, traces))
+        .collect()
+}
+
+/// Folds one series' job outcomes (point-major, seed-minor) back into
+/// best-of-seeds points, replicating the serial semantics exactly: failed
+/// seeds are dropped, ties on DRV keep the earliest seed, and a point with
+/// no surviving seed is skipped (and logged as such). A seed that only
+/// closed at a *relaxed* utilization ran off-spec, so it loses to any
+/// on-spec run regardless of DRV and never backs the max-utilization claim.
+fn assemble(
+    experiment: &str,
+    series: &Series,
+    outcomes: &mut impl Iterator<Item = JobOutcome<FlowPoint, PointFailure>>,
+    runlog: &mut Vec<RunLogRow>,
+    traces: &mut Vec<LabeledPoint>,
+) -> SeriesResult {
+    let mut points = Vec::new();
+    let mut max_util = None;
+    for point in &series.points {
+        let label = join_label(&[&series.label, &point.label]);
+        let mut runs: Vec<(PpaReport, PointRecovery)> = Vec::new();
+        // `zip` stops at the seeds without pulling a further outcome.
+        for (&seed, o) in series.seeds.iter().zip(&mut *outcomes) {
+            let seed_label = if series.seeds.len() > 1 {
+                format!("s{seed}")
+            } else {
+                String::new()
+            };
+            record_point(
+                experiment,
+                join_label(&[&label, &seed_label]),
+                &o,
+                runlog,
+                traces,
+            );
+            if let Ok((report, _, rec)) = o.result {
+                runs.push((report, rec));
+            }
+        }
+        if runs.is_empty() {
+            runlog.push(RunLogRow::skipped(
+                experiment,
+                label,
+                runlog.len(),
+                "no placement seed produced a routable run",
+            ));
+            continue;
+        }
+        runs.sort_by_key(|(r, rec)| (rec.relaxed, r.drv));
+        let (report, rec) = runs.swap_remove(0);
+        // A point that only closed at a relaxed utilization did not close
+        // at its own, so it must not back the max-utilization claim.
+        let u = point.config.utilization;
+        if report.valid && !rec.relaxed {
+            max_util = Some(max_util.map_or(u, |m: f64| m.max(u)));
+        }
+        points.push(PointResult {
+            config: point.config.clone(),
+            report,
+        });
+    }
+    SeriesResult {
+        label: series.label.clone(),
+        max_util,
+        points,
+    }
+}
+
+/// Runs the flow across a utilization grid on `pool` over the caller's
+/// library and netlist, returning all points plus the maximum valid
+/// utilization (the paper's "maximum utilization" metric).
 ///
-/// Each point tries three placement seeds and keeps the fewest-DRV run.
-/// Results are reassembled in submission order, so the outcome is identical
-/// for every pool width. The returned runlog rows carry each job's attempt
-/// count and recovery disposition (`clean` / `recovered(n)` / `failed(n)`);
-/// the returned traces carry each job's spans and metrics (metric values
-/// deterministic, span timings wall-clock).
+/// This is one unlabelled utilization series of the experiment engine
+/// (experiment `sweep`, no `build:` row): each point tries three placement
+/// seeds and keeps the fewest-DRV run. The returned runlog rows carry each
+/// job's attempt count and recovery disposition (`clean` / `recovered(n)` /
+/// `failed(n)`); the returned traces carry each job's spans and metrics
+/// (metric values deterministic, span timings wall-clock).
 #[must_use]
 pub fn utilization_sweep(
     pool: &Pool,
@@ -435,297 +757,134 @@ pub fn utilization_sweep(
     Vec<RunLogRow>,
     Vec<LabeledPoint>,
 ) {
-    let jobs: Vec<FlowConfig> = utils
-        .iter()
-        .flat_map(|&u| {
-            SWEEP_SEEDS.iter().map(move |&seed| FlowConfig {
-                utilization: u,
-                seed,
-                ..base.clone()
-            })
-        })
-        .collect();
-    let outcomes = pool.run(jobs, |config| flow_job(netlist, library, config));
+    let series = [Series::utilization("", base.clone(), utils)];
     let mut runlog = Vec::new();
     let mut traces = Vec::new();
-    let (max_valid, points) =
-        assemble_sweep("sweep", "", utils, outcomes, &mut runlog, &mut traces);
-    (max_valid, points, runlog, traces)
-}
-
-/// Folds the per-(utilization × seed) job outcomes of one sweep back into
-/// best-of-seeds points, replicating the serial semantics exactly: failed
-/// seeds are dropped, ties on DRV keep the earliest seed, and a point with
-/// no surviving seed is skipped (and logged as such). A seed that only
-/// closed at a *relaxed* utilization ran off-spec, so it loses to any
-/// on-spec run regardless of DRV and never backs the max-utilization claim.
-fn assemble_sweep(
-    experiment: &str,
-    label: &str,
-    utils: &[f64],
-    outcomes: Vec<JobOutcome<FlowPoint, PointFailure>>,
-    runlog: &mut Vec<RunLogRow>,
-    traces: &mut Vec<LabeledPoint>,
-) -> (Option<f64>, Vec<UtilPoint>) {
-    assert_eq!(outcomes.len(), utils.len() * SWEEP_SEEDS.len());
-    let mut points = Vec::new();
-    let mut max_valid = None;
-    let mut outcomes = outcomes.into_iter();
-    for &u in utils {
-        let mut runs: Vec<(PpaReport, PointRecovery)> = Vec::new();
-        for &seed in &SWEEP_SEEDS {
-            // Length asserted on entry; the iterator cannot run dry.
-            let Some(o) = outcomes.next() else { break };
-            let point_label = format!("{label}u{u:.2}/s{seed}");
-            record_point(experiment, point_label, &o, runlog, traces);
-            if let Ok((report, _, rec)) = o.result {
-                runs.push((report, rec));
-            }
-        }
-        if runs.is_empty() {
-            runlog.push(RunLogRow::skipped(
-                experiment,
-                format!("{label}u{u:.2}"),
-                runlog.len(),
-                "no placement seed produced a routable run",
-            ));
-            continue;
-        }
-        runs.sort_by_key(|(r, rec)| (rec.relaxed, r.drv));
-        let (best, rec) = runs.swap_remove(0);
-        // A point that only closed at a relaxed utilization did not close
-        // at `u`, so it must not back the max-utilization claim.
-        if best.valid && !rec.relaxed {
-            max_valid = Some(max_valid.map_or(u, |m: f64| m.max(u)));
-        }
-        points.push(UtilPoint {
-            utilization: u,
-            report: best,
-        });
-    }
-    (max_valid, points)
-}
-
-/// One configuration of a multi-config utilization sweep.
-struct SweepSpec {
-    label: String,
-    base: FlowConfig,
-    utils: Vec<f64>,
-}
-
-/// The assembled result of one [`SweepSpec`].
-struct SweepResult {
-    label: String,
-    max_util: Option<f64>,
-    points: Vec<UtilPoint>,
-}
-
-/// Executes several utilization sweeps as one flat job grid: per-spec
-/// library/netlist builds run as pool jobs first, then every
-/// (spec × utilization × seed) flow point is submitted together so the pool
-/// stays saturated across configuration boundaries.
-fn run_sweeps(
-    pool: &Pool,
-    design: DesignKind,
-    experiment: &str,
-    specs: Vec<SweepSpec>,
-    runlog: &mut Vec<RunLogRow>,
-    traces: &mut Vec<LabeledPoint>,
-) -> Vec<SweepResult> {
-    // Phase 1: contexts (library + netlist) per spec, in parallel.
-    let contexts: Vec<(Library, Netlist)> = pool
-        .run(specs.iter().collect(), |spec: &&SweepSpec| {
-            let library = spec.base.build_library()?;
-            let netlist = build_design(&library, design);
-            Ok::<_, crate::FlowError>((library, netlist))
-        })
-        .into_iter()
-        .zip(&specs)
-        .map(|(o, spec)| {
-            runlog.push(RunLogRow::from_stats(
-                experiment,
-                format!("build:{}", spec.label),
-                &o.stats,
-                None,
-            ));
-            match o.result {
-                Ok(ctx) => ctx,
-                Err(e) => panic!("context build for {} failed: {e}", spec.label),
-            }
-        })
-        .collect();
-
-    // Phase 2: the flat DoE grid.
-    struct PointJob {
-        spec: usize,
-        util: f64,
-        seed: u64,
-    }
-    let jobs: Vec<PointJob> = specs
-        .iter()
-        .enumerate()
-        .flat_map(|(si, spec)| {
-            spec.utils.iter().flat_map(move |&u| {
-                SWEEP_SEEDS.iter().map(move |&seed| PointJob {
-                    spec: si,
-                    util: u,
-                    seed,
+    let results = run_grid(
+        pool,
+        "sweep",
+        &series,
+        &[Ok((library, netlist))],
+        &mut runlog,
+        &mut traces,
+    );
+    let (max_util, points) = results.into_iter().next().map_or_else(
+        || (None, Vec::new()),
+        |s| {
+            let points = s
+                .points
+                .into_iter()
+                .map(|p| UtilPoint {
+                    utilization: p.config.utilization,
+                    report: p.report,
                 })
-            })
-        })
-        .collect();
-    let mut outcomes = pool
-        .run(jobs, |job| {
-            let (library, netlist) = &contexts[job.spec];
-            let config = FlowConfig {
-                utilization: job.util,
-                seed: job.seed,
-                ..specs[job.spec].base.clone()
-            };
-            flow_job(netlist, library, &config)
-        })
-        .into_iter();
-
-    // Phase 3: reassemble per spec, in submission order.
-    specs
-        .iter()
-        .map(|spec| {
-            let chunk: Vec<_> = (&mut outcomes)
-                .take(spec.utils.len() * SWEEP_SEEDS.len())
                 .collect();
-            let (max_util, points) = assemble_sweep(
-                experiment,
-                &format!("{}/", spec.label),
-                &spec.utils,
-                chunk,
-                runlog,
-                traces,
-            );
-            SweepResult {
-                label: spec.label.clone(),
-                max_util,
-                points,
-            }
-        })
+            (s.max_util, points)
+        },
+    );
+    (max_util, points, runlog, traces)
+}
+
+// ---------------------------------------------------------------------
+// Flow experiments: series and renderers
+// ---------------------------------------------------------------------
+
+fn header_row(names: &[&str]) -> Vec<String> {
+    names.iter().map(|&n| n.to_owned()).collect()
+}
+
+/// One table row per closed point, in series order.
+fn point_rows(
+    series: &[SeriesResult],
+    row: impl Fn(&SeriesResult, &PointResult) -> Vec<String>,
+) -> Vec<Vec<String>> {
+    let row = &row;
+    series
+        .iter()
+        .flat_map(|s| s.points.iter().map(move |p| row(s, p)))
         .collect()
 }
 
-/// The three configurations Fig. 8 compares.
-fn fig8_configs() -> Vec<(&'static str, FlowConfig)> {
+fn validity(report: &PpaReport) -> String {
+    if report.valid {
+        "valid".into()
+    } else {
+        "INVALID".into()
+    }
+}
+
+fn util_cell(max_util: Option<f64>) -> String {
+    max_util.map_or_else(|| "none".into(), |u| format!("{:.0}%", u * 100.0))
+}
+
+/// The first point's report of series `index`, if that point closed.
+fn first_report(series: &[SeriesResult], index: usize) -> Option<&PpaReport> {
+    series
+        .get(index)
+        .and_then(|s| s.points.first())
+        .map(|p| &p.report)
+}
+
+/// Fig. 8: core area vs utilization and the maximum-utilization limits of
+/// CFET, single-sided FFET and dual-sided FFET.
+fn fig8_series() -> Vec<Series> {
+    let utils: Vec<f64> = (1..=13).map(|i| 0.40 + 0.04 * i as f64).collect(); // 0.44..0.92
+    let dual = FlowConfig {
+        pattern: RoutingPattern::fixed(12, 12),
+        back_pin_ratio: 0.5,
+        ..FlowConfig::baseline(TechKind::Ffet3p5t)
+    };
     vec![
-        ("4T CFET (FM12)", FlowConfig::baseline(TechKind::Cfet4t)),
-        (
+        Series::utilization(
+            "4T CFET (FM12)",
+            FlowConfig::baseline(TechKind::Cfet4t),
+            &utils,
+        ),
+        Series::utilization(
             "3.5T FFET FM12 (single-sided)",
             FlowConfig::baseline(TechKind::Ffet3p5t),
+            &utils,
         ),
-        (
-            "3.5T FFET FM12BM12 (FP0.5BP0.5)",
-            FlowConfig {
-                pattern: RoutingPattern::fixed(12, 12),
-                back_pin_ratio: 0.5,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
-            },
-        ),
+        Series::utilization("3.5T FFET FM12BM12 (FP0.5BP0.5)", dual, &utils),
     ]
 }
 
-/// Result of the Fig. 8 reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig8 {
-    /// Rendered table.
-    pub table: ExpTable,
-    /// Per-config maximum valid utilization.
-    pub max_utils: Vec<(String, Option<f64>)>,
-    /// All sweep points per config.
-    pub sweeps: Vec<(String, Vec<UtilPoint>)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
-}
-
-/// Reproduces Fig. 8: core area vs utilization and the maximum-utilization
-/// limits of CFET, single-sided FFET and dual-sided FFET.
-#[must_use]
-pub fn fig8() -> Fig8 {
-    fig8_with(DesignKind::Rv32)
-}
-
-/// [`fig8`] with a configurable benchmark design.
-#[must_use]
-pub fn fig8_with(design: DesignKind) -> Fig8 {
-    fig8_on(design, &Pool::from_env())
-}
-
-/// [`fig8`] on an explicit DoE pool.
-#[must_use]
-pub fn fig8_on(design: DesignKind, pool: &Pool) -> Fig8 {
-    let utils: Vec<f64> = (1..=13).map(|i| 0.40 + 0.04 * i as f64).collect(); // 0.44..0.92
-    let specs = fig8_configs()
-        .into_iter()
-        .map(|(label, base)| SweepSpec {
-            label: label.to_owned(),
-            base,
-            utils: utils.clone(),
-        })
-        .collect();
-    let mut runlog = Vec::new();
-    let mut traces = Vec::new();
-    let results = run_sweeps(pool, design, "fig8", specs, &mut runlog, &mut traces);
-    let mut max_utils = Vec::new();
-    let mut sweeps = Vec::new();
-    let mut rows = Vec::new();
-    for r in results {
-        for p in &r.points {
-            rows.push(vec![
-                r.label.clone(),
-                format!("{:.0}%", p.utilization * 100.0),
-                format!("{:.1}", p.report.core_area_um2),
-                p.report.drv.to_string(),
-                if p.report.valid {
-                    "valid".into()
-                } else {
-                    "INVALID".into()
-                },
-            ]);
-        }
-        max_utils.push((r.label.clone(), r.max_util));
-        sweeps.push((r.label, r.points));
-    }
-    let mut notes: Vec<String> = max_utils
+fn render_fig8(series: &[SeriesResult]) -> ExpTable {
+    let rows = point_rows(series, |s, p| {
+        vec![
+            s.label.clone(),
+            format!("{:.0}%", p.config.utilization * 100.0),
+            format!("{:.1}", p.report.core_area_um2),
+            p.report.drv.to_string(),
+            validity(&p.report),
+        ]
+    });
+    let mut notes: Vec<String> = series
         .iter()
-        .map(|(l, m)| {
-            format!(
-                "max utilization {l}: {}",
-                m.map_or_else(|| "none".into(), |u| format!("{:.0}%", u * 100.0))
-            )
-        })
+        .map(|s| format!("max utilization {}: {}", s.label, util_cell(s.max_util)))
         .collect();
-    // Area reduction at the highest common valid utilization.
-    if let (Some((_, cfet_pts)), Some((_, ffet_pts))) = (sweeps.first(), sweeps.get(2)) {
-        if let (Some(c), Some(f)) = (
-            cfet_pts.iter().rfind(|p| p.report.valid),
-            ffet_pts.iter().find(|p| {
-                Some(p.utilization)
-                    == cfet_pts
-                        .iter()
-                        .rfind(|q| q.report.valid)
-                        .map(|q| q.utilization)
-            }),
-        ) {
+    if let (Some(cfet), Some(ffet)) = (series.first(), series.get(2)) {
+        // Area reduction at the highest common valid utilization.
+        let cfet_max = cfet.points.iter().rfind(|p| p.report.valid);
+        if let Some((c, f)) = cfet_max.and_then(|c| {
+            ffet.points
+                .iter()
+                .find(|p| p.config.utilization == c.config.utilization)
+                .map(|f| (c, f))
+        }) {
             notes.push(format!(
                 "FFET FM12BM12 core area at CFET's max utilization: {:+.1}% (paper: −23.3% at same utilization)",
                 pct_diff(f.report.core_area_um2, c.report.core_area_um2)
             ));
         }
-        let min_area = |pts: &[UtilPoint]| {
-            pts.iter()
+        let min_area = |s: &SeriesResult| {
+            s.points
+                .iter()
                 .filter(|p| p.report.valid)
                 .map(|p| p.report.core_area_um2)
                 .fold(f64::INFINITY, f64::min)
         };
-        let (ca, fa) = (min_area(cfet_pts), min_area(ffet_pts));
+        let (ca, fa) = (min_area(cfet), min_area(ffet));
         if ca.is_finite() && fa.is_finite() {
             notes.push(format!(
                 "minimum valid core area FFET vs CFET: {:+.1}% (paper: −25.1%)",
@@ -734,659 +893,327 @@ pub fn fig8_on(design: DesignKind, pool: &Pool) -> Fig8 {
         }
     }
     notes.push("paper: max util FFET FM12BM12 = 86% (Power-Tap-Cell-limited), FFET FM12 = 76%, both above/below CFET respectively".into());
-    Fig8 {
-        table: ExpTable {
-            title: "Fig. 8 — core area vs utilization & maximum utilization".into(),
-            header: vec![
-                "Config".into(),
-                "Util".into(),
-                "Area µm²".into(),
-                "DRV".into(),
-                "Validity".into(),
-            ],
-            rows,
-            notes,
-        },
-        max_utils,
-        sweeps,
-        runlog,
-        traces,
+    ExpTable {
+        title: "Fig. 8 — core area vs utilization & maximum utilization".into(),
+        header: header_row(&["Config", "Util", "Area µm²", "DRV", "Validity"]),
+        rows,
+        notes,
     }
 }
 
-/// Result of the Fig. 9 reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig9 {
-    /// Rendered table.
-    pub table: ExpTable,
-    /// (config label, target GHz, achieved GHz, power mW).
-    pub points: Vec<(String, f64, f64, f64)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
-}
-
-/// Reproduces Fig. 9: power–frequency comparison of CFET vs single-sided
-/// FFET, sweeping the synthesis target from 0.5 to 3 GHz at 76% util.
-#[must_use]
-pub fn fig9() -> Fig9 {
-    fig9_with(DesignKind::Rv32)
-}
-
-/// [`fig9`] with a configurable benchmark design.
-#[must_use]
-pub fn fig9_with(design: DesignKind) -> Fig9 {
-    fig9_on(design, &Pool::from_env())
-}
-
-/// [`fig9`] on an explicit DoE pool.
-#[must_use]
-pub fn fig9_on(design: DesignKind, pool: &Pool) -> Fig9 {
+/// Fig. 9: power–frequency comparison of CFET vs single-sided FFET,
+/// sweeping the synthesis target from 0.5 to 3 GHz at 76% utilization.
+fn fig9_series() -> Vec<Series> {
     let targets = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0];
-    let configs = [
-        (
-            "4T CFET",
-            FlowConfig {
-                utilization: 0.76,
-                ..FlowConfig::baseline(TechKind::Cfet4t)
-            },
-        ),
-        (
-            "3.5T FFET FM12",
-            FlowConfig {
-                utilization: 0.76,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
-            },
-        ),
-    ];
-    let mut runlog = Vec::new();
-    let contexts: Vec<(Library, Netlist)> = pool
-        .run(configs.iter().collect(), |job: &&(&str, FlowConfig)| {
-            let library = job.1.build_library()?;
-            let netlist = build_design(&library, design);
-            Ok::<_, crate::FlowError>((library, netlist))
-        })
-        .into_iter()
-        .zip(&configs)
-        .map(|(o, (label, _))| {
-            runlog.push(RunLogRow::from_stats(
-                "fig9",
-                format!("build:{label}"),
-                &o.stats,
-                None,
-            ));
-            o.result
-                .unwrap_or_else(|e| panic!("context build for {label} failed: {e}"))
-        })
-        .collect();
-    let jobs: Vec<(usize, f64)> = (0..configs.len())
-        .flat_map(|ci| targets.iter().map(move |&t| (ci, t)))
-        .collect();
-    let outcomes = pool.run(jobs.clone(), |&(ci, t)| {
-        let (library, netlist) = &contexts[ci];
-        let config = FlowConfig {
-            target_freq_ghz: t,
-            ..configs[ci].1.clone()
+    [
+        ("4T CFET", TechKind::Cfet4t),
+        ("3.5T FFET FM12", TechKind::Ffet3p5t),
+    ]
+    .into_iter()
+    .map(|(label, tech)| {
+        let base = FlowConfig {
+            utilization: 0.76,
+            ..FlowConfig::baseline(tech)
         };
-        flow_job(netlist, library, &config)
+        let points = targets
+            .iter()
+            .map(|&t| {
+                let config = FlowConfig {
+                    target_freq_ghz: t,
+                    ..base.clone()
+                };
+                (format!("t{t:.2}"), config)
+            })
+            .collect();
+        Series::points(label, base, points)
+    })
+    .collect()
+}
+
+fn render_fig9(series: &[SeriesResult]) -> ExpTable {
+    let rows = point_rows(series, |s, p| {
+        vec![
+            s.label.clone(),
+            f2(p.config.target_freq_ghz),
+            format!("{:.3}", p.report.achieved_freq_ghz),
+            format!("{:.3}", p.report.power_mw),
+            p.report.drv.to_string(),
+        ]
     });
-    let mut traces = Vec::new();
-    let mut points = Vec::new();
-    let mut rows = Vec::new();
-    for (o, (ci, t)) in outcomes.into_iter().zip(jobs) {
-        let label = configs[ci].0;
-        record_point(
-            "fig9",
-            format!("{label}/t{t:.2}"),
-            &o,
-            &mut runlog,
-            &mut traces,
-        );
-        if let Ok((report, _, _)) = o.result {
-            rows.push(vec![
-                label.to_owned(),
-                f2(t),
-                format!("{:.3}", report.achieved_freq_ghz),
-                format!("{:.3}", report.power_mw),
-                report.drv.to_string(),
-            ]);
-            points.push((
-                label.to_owned(),
-                t,
-                report.achieved_freq_ghz,
-                report.power_mw,
-            ));
-        }
-    }
     let mut notes = vec![
         "paper: FFET FM12 +25.0% frequency and −11.9% power vs CFET at 76% utilization".into(),
     ];
-    let best = |label: &str| {
-        points
-            .iter()
-            .filter(|(l, ..)| l == label)
-            .map(|&(_, _, f, _)| f)
-            .fold(0.0f64, f64::max)
+    let best = |s: Option<&SeriesResult>| {
+        s.map_or(0.0, |s| {
+            s.points
+                .iter()
+                .map(|p| p.report.achieved_freq_ghz)
+                .fold(0.0f64, f64::max)
+        })
     };
-    let (fc, ff) = (best("4T CFET"), best("3.5T FFET FM12"));
+    let (fc, ff) = (best(series.first()), best(series.get(1)));
     if fc > 0.0 {
         notes.push(format!(
             "measured best achieved frequency: FFET {:+.1}% vs CFET",
             pct_diff(ff, fc)
         ));
     }
-    Fig9 {
-        table: ExpTable {
-            title: "Fig. 9 — power–frequency, CFET vs FFET FM12 (util 76%)".into(),
-            header: vec![
-                "Config".into(),
-                "Target GHz".into(),
-                "Achieved GHz".into(),
-                "Power mW".into(),
-                "DRV".into(),
-            ],
-            rows,
-            notes,
-        },
-        points,
-        runlog,
-        traces,
+    ExpTable {
+        title: "Fig. 9 — power–frequency, CFET vs FFET FM12 (util 76%)".into(),
+        header: header_row(&["Config", "Target GHz", "Achieved GHz", "Power mW", "DRV"]),
+        rows,
+        notes,
     }
 }
 
-/// Result of the Fig. 10 reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig10 {
-    /// Rendered table.
-    pub table: ExpTable,
-    /// (config, core area µm², achieved GHz, valid).
-    pub points: Vec<(String, f64, f64, bool)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
-}
-
-/// Reproduces Fig. 10: frequency–area at a 1.5 GHz synthesis target (the
-/// area axis is swept through the utilization).
-#[must_use]
-pub fn fig10() -> Fig10 {
-    fig10_with(DesignKind::Rv32)
-}
-
-/// [`fig10`] with a configurable benchmark design.
-#[must_use]
-pub fn fig10_with(design: DesignKind) -> Fig10 {
-    fig10_on(design, &Pool::from_env())
-}
-
-/// [`fig10`] on an explicit DoE pool.
-#[must_use]
-pub fn fig10_on(design: DesignKind, pool: &Pool) -> Fig10 {
+/// Fig. 10: frequency–area at a 1.5 GHz synthesis target (the area axis is
+/// swept through the utilization).
+fn fig10_series() -> Vec<Series> {
     let utils: Vec<f64> = (0..8).map(|i| 0.46 + 0.06 * i as f64).collect(); // 0.46..0.88
-    let configs = [
-        ("4T CFET", FlowConfig::baseline(TechKind::Cfet4t)),
-        ("3.5T FFET FM12", FlowConfig::baseline(TechKind::Ffet3p5t)),
-    ];
-    let specs = configs
-        .into_iter()
-        .map(|(label, base)| SweepSpec {
-            label: label.to_owned(),
-            base,
-            utils: utils.clone(),
-        })
-        .collect();
-    let mut runlog = Vec::new();
-    let mut traces = Vec::new();
-    let results = run_sweeps(pool, design, "fig10", specs, &mut runlog, &mut traces);
-    let mut points = Vec::new();
-    let mut rows = Vec::new();
-    for r in results {
-        for p in r.points {
-            rows.push(vec![
-                r.label.clone(),
-                format!("{:.0}%", p.utilization * 100.0),
-                format!("{:.1}", p.report.core_area_um2),
-                format!("{:.3}", p.report.achieved_freq_ghz),
-                if p.report.valid {
-                    "valid".into()
-                } else {
-                    "INVALID".into()
-                },
-            ]);
-            points.push((
-                r.label.clone(),
-                p.report.core_area_um2,
-                p.report.achieved_freq_ghz,
-                p.report.valid,
-            ));
-        }
-    }
-    Fig10 {
-        table: ExpTable {
-            title: "Fig. 10 — frequency–area at 1.5 GHz target".into(),
-            header: vec![
-                "Config".into(),
-                "Util".into(),
-                "Area µm²".into(),
-                "Achieved GHz".into(),
-                "Validity".into(),
-            ],
-            rows,
-            notes: vec![
-                "paper: FFET FM12 +16.0% frequency at CFET's best area; +23.4% at respective maxima".into(),
-            ],
-        },
-        points,
-        runlog,
-        traces,
+    vec![
+        Series::utilization("4T CFET", FlowConfig::baseline(TechKind::Cfet4t), &utils),
+        Series::utilization(
+            "3.5T FFET FM12",
+            FlowConfig::baseline(TechKind::Ffet3p5t),
+            &utils,
+        ),
+    ]
+}
+
+fn render_fig10(series: &[SeriesResult]) -> ExpTable {
+    let rows = point_rows(series, |s, p| {
+        vec![
+            s.label.clone(),
+            format!("{:.0}%", p.config.utilization * 100.0),
+            format!("{:.1}", p.report.core_area_um2),
+            format!("{:.3}", p.report.achieved_freq_ghz),
+            validity(&p.report),
+        ]
+    });
+    ExpTable {
+        title: "Fig. 10 — frequency–area at 1.5 GHz target".into(),
+        header: header_row(&["Config", "Util", "Area µm²", "Achieved GHz", "Validity"]),
+        rows,
+        notes: vec![
+            "paper: FFET FM12 +16.0% frequency at CFET's best area; +23.4% at respective maxima"
+                .into(),
+        ],
     }
 }
 
-/// The five input-pin-density DoEs of Fig. 11 / Table III.
+/// The five input-pin-density DoEs of Fig. 11.
 const PIN_DENSITY_DOES: [f64; 5] = [0.04, 0.16, 0.30, 0.40, 0.50];
 
-/// Result of the Fig. 11 reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig11 {
-    /// Rendered table.
-    pub table: ExpTable,
-    /// (BP ratio, mean achieved GHz, mean power mW) across the util sweep.
-    pub means: Vec<(f64, f64, f64)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
-}
-
-/// Reproduces Fig. 11: power–frequency distributions of the five backside
-/// pin-density DoEs under FM12BM12, sweeping utilization 46–76%.
-#[must_use]
-pub fn fig11() -> Fig11 {
-    fig11_with(DesignKind::Rv32)
-}
-
-/// [`fig11`] with a configurable benchmark design.
-#[must_use]
-pub fn fig11_with(design: DesignKind) -> Fig11 {
-    fig11_on(design, &Pool::from_env())
-}
-
-/// [`fig11`] on an explicit DoE pool.
-#[must_use]
-pub fn fig11_on(design: DesignKind, pool: &Pool) -> Fig11 {
+/// Fig. 11: power–frequency distributions of the five backside pin-density
+/// DoEs under FM12BM12, sweeping utilization 46–76%.
+fn fig11_series() -> Vec<Series> {
     let utils: Vec<f64> = (0..6).map(|i| 0.46 + 0.06 * i as f64).collect(); // 0.46..0.76
-    let specs = PIN_DENSITY_DOES
+    PIN_DENSITY_DOES
         .iter()
-        .map(|&bp| SweepSpec {
-            label: format!("FP{:.2}BP{bp:.2}", 1.0 - bp),
-            base: FlowConfig {
+        .map(|&bp| {
+            let base = FlowConfig {
                 pattern: RoutingPattern::fixed(12, 12),
                 back_pin_ratio: bp,
                 ..FlowConfig::baseline(TechKind::Ffet3p5t)
-            },
-            utils: utils.clone(),
+            };
+            Series::utilization(&format!("FP{:.2}BP{bp:.2}", 1.0 - bp), base, &utils)
         })
-        .collect();
-    let mut runlog = Vec::new();
-    let mut traces = Vec::new();
-    let results = run_sweeps(pool, design, "fig11", specs, &mut runlog, &mut traces);
+        .collect()
+}
+
+fn render_fig11(series: &[SeriesResult]) -> ExpTable {
     let mut rows = Vec::new();
-    let mut means = Vec::new();
-    for (r, &bp) in results.iter().zip(&PIN_DENSITY_DOES) {
-        let mut fsum = 0.0;
-        let mut psum = 0.0;
-        let mut n = 0.0;
-        for p in &r.points {
+    let mut notes = vec![
+        "paper: FP0.5BP0.5 and FP0.6BP0.4 best, FP0.7BP0.3 next, FP0.84/FP0.96 trailing".into(),
+    ];
+    for s in series {
+        let (mut fsum, mut psum) = (0.0, 0.0);
+        for p in &s.points {
             rows.push(vec![
-                r.label.clone(),
-                format!("{:.0}%", p.utilization * 100.0),
+                s.label.clone(),
+                format!("{:.0}%", p.config.utilization * 100.0),
                 format!("{:.3}", p.report.achieved_freq_ghz),
                 format!("{:.3}", p.report.power_mw),
                 p.report.drv.to_string(),
             ]);
             fsum += p.report.achieved_freq_ghz;
             psum += p.report.power_mw;
-            n += 1.0;
         }
-        if n > 0.0 {
-            means.push((bp, fsum / n, psum / n));
+        if let Some(p) = s.points.first() {
+            let n = s.points.len() as f64;
+            notes.push(format!(
+                "BP{:.2}: mean achieved {:.3} GHz at mean {:.3} mW",
+                p.config.back_pin_ratio,
+                fsum / n,
+                psum / n
+            ));
         }
     }
-    let mut notes = vec![
-        "paper: FP0.5BP0.5 and FP0.6BP0.4 best, FP0.7BP0.3 next, FP0.84/FP0.96 trailing".into(),
-    ];
-    for (bp, f, p) in &means {
-        notes.push(format!(
-            "BP{bp:.2}: mean achieved {f:.3} GHz at mean {p:.3} mW"
-        ));
-    }
-    Fig11 {
-        table: ExpTable {
-            title: "Fig. 11 — pin-density DoEs under FM12BM12 (util 46–76%)".into(),
-            header: vec![
-                "DoE".into(),
-                "Util".into(),
-                "Achieved GHz".into(),
-                "Power mW".into(),
-                "DRV".into(),
-            ],
-            rows,
-            notes,
-        },
-        means,
-        runlog,
-        traces,
+    ExpTable {
+        title: "Fig. 11 — pin-density DoEs under FM12BM12 (util 46–76%)".into(),
+        header: header_row(&["DoE", "Util", "Achieved GHz", "Power mW", "DRV"]),
+        rows,
+        notes,
     }
 }
 
-/// Result of the Table III reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table3 {
-    /// Rendered table.
-    pub table: ExpTable,
-    /// (BP ratio, pattern, Δfreq %, Δpower %).
-    pub rows_data: Vec<(f64, RoutingPattern, f64, f64)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
-}
+/// The paper's Table III DoE rows: each input-pin density with the layer
+/// patterns (12 layers in total) it is paired with.
+const TABLE3_DOES: [(f64, &[(u8, u8)]); 5] = [
+    (0.04, &[(10, 2), (9, 3)]),
+    (0.16, &[(9, 3), (8, 4)]),
+    (0.30, &[(9, 3), (8, 4), (7, 5)]),
+    (0.40, &[(8, 4), (7, 5), (6, 6)]),
+    (0.50, &[(8, 4), (7, 5), (6, 6)]),
+];
 
-/// Reproduces Table III: pin density × routing-layer co-optimization with
-/// a 12-layer total budget, relative to the single-sided FFET FM12
-/// baseline at 76% utilization and 1.5 GHz target.
-#[must_use]
-pub fn table3() -> Table3 {
-    table3_with(DesignKind::Rv32)
-}
-
-/// [`table3`] with a configurable benchmark design.
-#[must_use]
-pub fn table3_with(design: DesignKind) -> Table3 {
-    table3_on(design, &Pool::from_env())
-}
-
-/// [`table3`] on an explicit DoE pool.
-///
-/// # Panics
-///
-/// Panics if the single-sided baseline run fails — every row of the table
-/// is a diff against it.
-#[must_use]
-pub fn table3_on(design: DesignKind, pool: &Pool) -> Table3 {
-    // The paper's DoE rows (Table III).
-    let rows_spec: [(f64, (u8, u8)); 13] = [
-        (0.04, (10, 2)),
-        (0.04, (9, 3)),
-        (0.16, (9, 3)),
-        (0.16, (8, 4)),
-        (0.30, (9, 3)),
-        (0.30, (8, 4)),
-        (0.30, (7, 5)),
-        (0.40, (8, 4)),
-        (0.40, (7, 5)),
-        (0.40, (6, 6)),
-        (0.50, (8, 4)),
-        (0.50, (7, 5)),
-        (0.50, (6, 6)),
-    ];
+/// Table III: pin density × routing-layer co-optimization with a 12-layer
+/// total budget, relative to the single-sided FFET FM12 baseline at 1.5 GHz
+/// target. The first series is the baseline; each further series is one
+/// pin density whose points are its layer patterns.
+fn table3_series() -> Vec<Series> {
     // 72% utilization: high enough to stress routability, low enough that
     // the well-matched pin-density/layer pairings stay valid (our router
     // weighs backside pin access harder than the paper's, so the exact
     // paper point of 76% leaves only the front-heavy rows valid).
-    let base_cfg = FlowConfig {
+    let base = FlowConfig {
         utilization: 0.72,
         ..FlowConfig::baseline(TechKind::Ffet3p5t)
     };
-    let base_lib = base_cfg
-        .build_library()
-        .expect("baseline config has no pin redistribution");
-    let netlist = build_design(&base_lib, design);
-
-    // The baseline and every DoE row share one netlist but build their own
-    // (possibly pin-redistributed) library inside the job, so the whole
-    // table is a single flat grid: job 0 is the baseline, jobs 1.. the rows.
-    let mut jobs: Vec<(f64, FlowConfig)> = vec![(0.0, base_cfg.clone())];
-    jobs.extend(rows_spec.iter().map(|&(bp, (fm, bm))| {
-        (
-            bp,
-            FlowConfig {
-                pattern: RoutingPattern::fixed(fm, bm),
-                back_pin_ratio: bp,
-                ..base_cfg.clone()
-            },
-        )
-    }));
-    let outcomes = pool.run(jobs.clone(), |(_, config)| {
-        let library = config.build_library().map_err(config_failure)?;
-        flow_job(&netlist, &library, config)
-    });
-    let mut runlog = Vec::new();
-    let mut traces = Vec::new();
-    for (o, (bp, config)) in outcomes.iter().zip(&jobs) {
-        let label = if o.stats.index == 0 {
-            "baseline/FM12".to_owned()
-        } else {
-            format!("FP{:.2}BP{bp:.2}/{}", 1.0 - bp, config.pattern)
+    let mut series = vec![Series::points(
+        "baseline",
+        base.clone(),
+        vec![("FM12".into(), base.clone())],
+    )];
+    series.extend(TABLE3_DOES.iter().map(|&(bp, patterns)| {
+        let doe = FlowConfig {
+            back_pin_ratio: bp,
+            ..base.clone()
         };
-        record_point("table3", label, o, &mut runlog, &mut traces);
-    }
-    let mut outcomes = outcomes.into_iter();
-    let (base, _, _) = outcomes
-        .next()
-        .expect("baseline submitted")
-        .result
-        .unwrap_or_else(|e| panic!("baseline runs: {e}"));
+        let points = patterns
+            .iter()
+            .map(|&(fm, bm)| {
+                let pattern = RoutingPattern::fixed(fm, bm);
+                let config = FlowConfig {
+                    pattern,
+                    ..doe.clone()
+                };
+                (pattern.to_string(), config)
+            })
+            .collect();
+        Series::points(&format!("FP{:.2}BP{bp:.2}", 1.0 - bp), doe, points)
+    }));
+    series
+}
 
-    let mut rows = Vec::new();
-    let mut rows_data = Vec::new();
-    for (o, (bp, config)) in outcomes.zip(jobs.iter().skip(1)) {
-        if let Ok((report, _, _)) = o.result {
-            let df = pct_diff(report.achieved_freq_ghz, base.achieved_freq_ghz);
-            let dp = pct_diff(report.power_mw, base.power_mw);
-            rows.push(vec![
-                format!("FP{:.2}BP{bp:.2}", 1.0 - bp),
-                config.pattern.to_string(),
-                pct(df),
-                pct(dp),
-                report.drv.to_string(),
-            ]);
-            rows_data.push((*bp, config.pattern, df, dp));
+fn render_table3(series: &[SeriesResult]) -> ExpTable {
+    let mut notes = vec![
+        "paper: best Δfreq without power degradation +10.6% (FP0.5BP0.5 FM6BM6); best Δfreq +12.8% (FP0.7BP0.3 FM8BM4/FM7BM5, +1.4% power)".into(),
+    ];
+    let rows = match first_report(series, 0) {
+        Some(base) => series
+            .iter()
+            .skip(1)
+            .flat_map(|s| &s.points)
+            .map(|p| {
+                let bp = p.config.back_pin_ratio;
+                vec![
+                    format!("FP{:.2}BP{bp:.2}", 1.0 - bp),
+                    p.config.pattern.to_string(),
+                    pct(pct_diff(p.report.achieved_freq_ghz, base.achieved_freq_ghz)),
+                    pct(pct_diff(p.report.power_mw, base.power_mw)),
+                    p.report.drv.to_string(),
+                ]
+            })
+            .collect(),
+        None => {
+            notes.push("the FFET FM12 baseline did not close: no row has a reference".into());
+            Vec::new()
         }
-    }
-    Table3 {
-        table: ExpTable {
-            title: "Table III — pin density × routing layers vs FFET FM12 baseline".into(),
-            header: vec![
-                "Input pin density".into(),
-                "Pattern".into(),
-                "Δfreq".into(),
-                "Δpower".into(),
-                "DRV".into(),
-            ],
-            rows,
-            notes: vec![
-                "paper: best Δfreq without power degradation +10.6% (FP0.5BP0.5 FM6BM6); best Δfreq +12.8% (FP0.7BP0.3 FM8BM4/FM7BM5, +1.4% power)".into(),
-            ],
-        },
-        rows_data,
-        runlog,
-        traces,
+    };
+    ExpTable {
+        title: "Table III — pin density × routing layers vs FFET FM12 baseline".into(),
+        header: header_row(&["Input pin density", "Pattern", "Δfreq", "Δpower", "DRV"]),
+        rows,
+        notes,
     }
 }
 
-/// Result of the Fig. 12 reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig12 {
-    /// Rendered table.
-    pub table: ExpTable,
-    /// (layers per side, max valid utilization).
-    pub points: Vec<(u8, Option<f64>)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
-}
-
-/// Reproduces Fig. 12: maximum utilization of FFET FP0.5BP0.5 as the
-/// number of routing layers per side shrinks from 12 to 2.
-#[must_use]
-pub fn fig12() -> Fig12 {
-    fig12_with(DesignKind::Rv32)
-}
-
-/// [`fig12`] with a configurable benchmark design.
-#[must_use]
-pub fn fig12_with(design: DesignKind) -> Fig12 {
-    fig12_on(design, &Pool::from_env())
-}
-
-/// [`fig12`] on an explicit DoE pool.
-#[must_use]
-pub fn fig12_on(design: DesignKind, pool: &Pool) -> Fig12 {
+/// Fig. 12: maximum utilization of FFET FP0.5BP0.5 as the number of routing
+/// layers per side shrinks from 12 to 2.
+fn fig12_series() -> Vec<Series> {
     // A coarser grid than Fig. 8 keeps this 11-pattern sweep tractable;
     // the paper's plateau (86% down to 4 layers/side, ~70% at 2) is still
     // resolvable.
-    let utils: Vec<f64> = vec![0.48, 0.56, 0.64, 0.72, 0.80, 0.84, 0.88];
-    let layers: Vec<u8> = (2..=12u8).rev().collect();
-    let specs = layers
-        .iter()
-        .map(|&n| SweepSpec {
-            label: format!("FM{n}BM{n}"),
-            base: FlowConfig {
+    let utils = [0.48, 0.56, 0.64, 0.72, 0.80, 0.84, 0.88];
+    (2..=12u8)
+        .rev()
+        .map(|n| {
+            let base = FlowConfig {
                 pattern: RoutingPattern::fixed(n, n),
                 back_pin_ratio: 0.5,
                 ..FlowConfig::baseline(TechKind::Ffet3p5t)
-            },
-            utils: utils.clone(),
+            };
+            Series::utilization(&format!("FM{n}BM{n}"), base, &utils)
         })
-        .collect();
-    let mut runlog = Vec::new();
-    let mut traces = Vec::new();
-    let results = run_sweeps(pool, design, "fig12", specs, &mut runlog, &mut traces);
-    let mut points = Vec::new();
-    let mut rows = Vec::new();
-    for (r, &n) in results.iter().zip(&layers) {
-        rows.push(vec![
-            r.label.clone(),
-            r.max_util
-                .map_or_else(|| "none".into(), |u| format!("{:.0}%", u * 100.0)),
-        ]);
-        points.push((n, r.max_util));
-    }
-    Fig12 {
-        table: ExpTable {
-            title: "Fig. 12 — max utilization vs routing layers per side (FP0.5BP0.5)".into(),
-            header: vec!["Pattern".into(), "Max utilization".into()],
-            rows,
-            notes: vec!["paper: constant 86% down to 4 layers/side, ~70% at 2 layers/side".into()],
-        },
-        points,
-        runlog,
-        traces,
+        .collect()
+}
+
+fn render_fig12(series: &[SeriesResult]) -> ExpTable {
+    ExpTable {
+        title: "Fig. 12 — max utilization vs routing layers per side (FP0.5BP0.5)".into(),
+        header: header_row(&["Pattern", "Max utilization"]),
+        rows: series
+            .iter()
+            .map(|s| vec![s.label.clone(), util_cell(s.max_util)])
+            .collect(),
+        notes: vec!["paper: constant 86% down to 4 layers/side, ~70% at 2 layers/side".into()],
     }
 }
 
-/// Result of the Fig. 13 reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig13 {
-    /// Rendered table.
-    pub table: ExpTable,
-    /// (layers per side, efficiency GHz/mW, Δ vs 12 layers %).
-    pub points: Vec<(u8, f64, f64)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
+/// Fig. 13: power efficiency of FFET FP0.5BP0.5 vs routing layers per side
+/// at 76% utilization / 1.5 GHz target.
+fn fig13_series() -> Vec<Series> {
+    (3..=12u8)
+        .rev()
+        .map(|n| {
+            let config = FlowConfig {
+                pattern: RoutingPattern::fixed(n, n),
+                back_pin_ratio: 0.5,
+                utilization: 0.76,
+                ..FlowConfig::baseline(TechKind::Ffet3p5t)
+            };
+            Series::single(&format!("FM{n}BM{n}"), config)
+        })
+        .collect()
 }
 
-/// Reproduces Fig. 13: power efficiency of FFET FP0.5BP0.5 vs routing
-/// layers per side at 76% utilization / 1.5 GHz target.
-#[must_use]
-pub fn fig13() -> Fig13 {
-    fig13_with(DesignKind::Rv32)
-}
-
-/// [`fig13`] with a configurable benchmark design.
-#[must_use]
-pub fn fig13_with(design: DesignKind) -> Fig13 {
-    fig13_on(design, &Pool::from_env())
-}
-
-/// [`fig13`] on an explicit DoE pool.
-#[must_use]
-pub fn fig13_on(design: DesignKind, pool: &Pool) -> Fig13 {
-    let layers: Vec<u8> = (3..=12u8).rev().collect();
-    // One job per pattern; each builds its own library + netlist, so the
-    // whole figure parallelizes including the context builds.
-    let outcomes = pool.run(layers.clone(), |&n| {
-        let config = FlowConfig {
-            pattern: RoutingPattern::fixed(n, n),
-            back_pin_ratio: 0.5,
-            utilization: 0.76,
-            ..FlowConfig::baseline(TechKind::Ffet3p5t)
-        };
-        let library = config.build_library().map_err(config_failure)?;
-        let netlist = build_design(&library, design);
-        flow_job(&netlist, &library, &config)
+fn render_fig13(series: &[SeriesResult]) -> ExpTable {
+    let twelve = RoutingPattern::fixed(12, 12);
+    let anchor = series
+        .iter()
+        .flat_map(|s| &s.points)
+        .find(|p| p.config.pattern == twelve)
+        .map(|p| p.report.efficiency_ghz_per_mw());
+    let rows = point_rows(series, |s, p| {
+        let e = p.report.efficiency_ghz_per_mw();
+        vec![
+            s.label.clone(),
+            format!("{e:.4}"),
+            anchor.map_or_else(String::new, |a| pct(pct_diff(e, a))),
+        ]
     });
-    let mut runlog = Vec::new();
-    let mut traces = Vec::new();
-    let mut effs: Vec<(u8, f64)> = Vec::new();
-    for (o, &n) in outcomes.into_iter().zip(&layers) {
-        record_point("fig13", format!("FM{n}BM{n}"), &o, &mut runlog, &mut traces);
-        if let Ok((report, _, _)) = o.result {
-            effs.push((n, report.efficiency_ghz_per_mw()));
-        }
+    let mut notes =
+        vec!["paper: only −0.68% efficiency when reduced from 12 to 5 layers per side".into()];
+    if anchor.is_none() {
+        notes.push(format!("{twelve} did not close: Δ vs 12 layers left empty"));
     }
-    let base = effs.first().map_or(1.0, |&(_, e)| e);
-    let points: Vec<(u8, f64, f64)> = effs
-        .iter()
-        .map(|&(n, e)| (n, e, pct_diff(e, base)))
-        .collect();
-    let rows = points
-        .iter()
-        .map(|&(n, e, d)| vec![format!("FM{n}BM{n}"), format!("{e:.4}"), pct(d)])
-        .collect();
-    Fig13 {
-        table: ExpTable {
-            title: "Fig. 13 — power efficiency vs routing layers per side".into(),
-            header: vec!["Pattern".into(), "GHz/mW".into(), "Δ vs 12 layers".into()],
-            rows,
-            notes: vec![
-                "paper: only −0.68% efficiency when reduced from 12 to 5 layers per side".into(),
-            ],
-        },
-        points,
-        runlog,
-        traces,
+    ExpTable {
+        title: "Fig. 13 — power efficiency vs routing layers per side".into(),
+        header: header_row(&["Pattern", "GHz/mW", "Δ vs 12 layers"]),
+        rows,
+        notes,
     }
-}
-
-// ---------------------------------------------------------------------
-// Ablation: Algorithm 1 vs conventional bridging cells
-// ---------------------------------------------------------------------
-
-/// Result of the bridging-vs-dual-sided-pins ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BridgingAblation {
-    /// Rendered table.
-    pub table: ExpTable,
-    /// (label, report) per configuration.
-    pub reports: Vec<(String, PpaReport)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
 }
 
 /// Ablation of the paper's key design choice (§III.A): dual-sided signals
@@ -1394,76 +1221,50 @@ pub struct BridgingAblation {
 /// bridging-cell transfer, and against staying single-sided. The paper
 /// skipped bridging cells "to minimize the area cost" — this experiment
 /// measures that cost.
-#[must_use]
-pub fn bridging_ablation() -> BridgingAblation {
-    bridging_ablation_with(DesignKind::Rv32)
-}
-
-/// [`bridging_ablation`] with a configurable benchmark design.
-#[must_use]
-pub fn bridging_ablation_with(design: DesignKind) -> BridgingAblation {
-    bridging_ablation_on(design, &Pool::from_env())
-}
-
-/// [`bridging_ablation`] on an explicit DoE pool.
-#[must_use]
-pub fn bridging_ablation_on(design: DesignKind, pool: &Pool) -> BridgingAblation {
-    let configs = [
-        (
-            "single-sided FM12 (baseline)",
-            FlowConfig {
-                utilization: 0.7,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
-            },
-        ),
-        (
+fn ablation_series() -> Vec<Series> {
+    let base = FlowConfig {
+        utilization: 0.7,
+        ..FlowConfig::baseline(TechKind::Ffet3p5t)
+    };
+    vec![
+        Series::single("single-sided FM12 (baseline)", base.clone()),
+        Series::single(
             "Algorithm 1: FM6BM6 FP0.5BP0.5",
             FlowConfig {
-                utilization: 0.7,
                 pattern: RoutingPattern::fixed(6, 6),
                 back_pin_ratio: 0.5,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
+                ..base.clone()
             },
         ),
-        (
+        Series::single(
             "bridging cells: FM6BM6 FP1.0",
             FlowConfig {
-                utilization: 0.7,
                 pattern: RoutingPattern::fixed(6, 6),
                 back_pin_ratio: 0.0,
                 bridging_min_nm: Some(2_000),
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
+                ..base
             },
         ),
-    ];
-    let outcomes = pool.run(configs.to_vec(), |(_, config)| {
-        let library = config.build_library().map_err(config_failure)?;
-        let netlist = build_design(&library, design);
-        flow_job(&netlist, &library, config)
+    ]
+}
+
+fn render_ablation(series: &[SeriesResult]) -> ExpTable {
+    let rows = point_rows(series, |s, p| {
+        let r = &p.report;
+        vec![
+            s.label.clone(),
+            r.cells.to_string(),
+            format!("{:.1}", r.core_area_um2),
+            format!("{:.3}", r.achieved_freq_ghz),
+            format!("{:.3}", r.power_mw),
+            format!("{:.2}", r.back_wirelength_mm),
+            r.drv.to_string(),
+        ]
     });
-    let mut runlog = Vec::new();
-    let mut traces = Vec::new();
-    let mut reports = Vec::new();
-    let mut rows = Vec::new();
-    for (o, (label, _)) in outcomes.into_iter().zip(configs) {
-        record_point("ablation", label.to_owned(), &o, &mut runlog, &mut traces);
-        if let Ok((report, _, _)) = o.result {
-            rows.push(vec![
-                label.to_owned(),
-                report.cells.to_string(),
-                format!("{:.1}", report.core_area_um2),
-                format!("{:.3}", report.achieved_freq_ghz),
-                format!("{:.3}", report.power_mw),
-                format!("{:.2}", report.back_wirelength_mm),
-                report.drv.to_string(),
-            ]);
-            reports.push((label.to_owned(), report));
-        }
-    }
     let mut notes = vec![
         "paper: bridging cells cost area and design complexity; FFET's dual-sided pins avoid them entirely".into(),
     ];
-    if let (Some((_, alg1)), Some((_, bridged))) = (reports.get(1), reports.get(2)) {
+    if let (Some(alg1), Some(bridged)) = (first_report(series, 1), first_report(series, 2)) {
         notes.push(format!(
             "bridging vs Algorithm 1: {:+.1}% cells, {:+.1}% area, {:+.1}% frequency",
             pct_diff(bridged.cells as f64, alg1.cells as f64),
@@ -1471,24 +1272,19 @@ pub fn bridging_ablation_on(design: DesignKind, pool: &Pool) -> BridgingAblation
             pct_diff(bridged.achieved_freq_ghz, alg1.achieved_freq_ghz),
         ));
     }
-    BridgingAblation {
-        table: ExpTable {
-            title: "Ablation — dual-sided pins (Algorithm 1) vs bridging cells".into(),
-            header: vec![
-                "Config".into(),
-                "Cells".into(),
-                "Area µm²".into(),
-                "GHz".into(),
-                "mW".into(),
-                "Back wl mm".into(),
-                "DRV".into(),
-            ],
-            rows,
-            notes,
-        },
-        reports,
-        runlog,
-        traces,
+    ExpTable {
+        title: "Ablation — dual-sided pins (Algorithm 1) vs bridging cells".into(),
+        header: header_row(&[
+            "Config",
+            "Cells",
+            "Area µm²",
+            "GHz",
+            "mW",
+            "Back wl mm",
+            "DRV",
+        ]),
+        rows,
+        notes,
     }
 }
 
@@ -1496,15 +1292,119 @@ pub fn bridging_ablation_on(design: DesignKind, pool: &Pool) -> BridgingAblation
 mod tests {
     use super::*;
 
+    fn run_counter(name: &str) -> ExpRun {
+        find(name)
+            .expect("registered experiment")
+            .run(DesignKind::CounterSmall, &Pool::from_env())
+    }
+
+    /// A hand-built series result holding one closed point.
+    fn closed(label: &str, config: FlowConfig, report: PpaReport) -> SeriesResult {
+        SeriesResult {
+            label: label.into(),
+            max_util: None,
+            points: vec![PointResult { config, report }],
+        }
+    }
+
+    fn report(freq_ghz: f64, power_mw: f64) -> PpaReport {
+        PpaReport {
+            tech: "3.5T FFET".into(),
+            pattern: RoutingPattern::max_single_sided(),
+            back_pin_ratio: 0.0,
+            target_freq_ghz: 1.5,
+            utilization: 0.7,
+            core_area_um2: 1.0,
+            achieved_freq_ghz: freq_ghz,
+            power_mw,
+            leakage_mw: 0.0,
+            clock_mw: 0.0,
+            drv: 0,
+            valid: true,
+            signoff_warnings: 0,
+            signoff: "PASS".into(),
+            wirelength_mm: 0.0,
+            back_wirelength_mm: 0.0,
+            vias: 0,
+            cells: 0,
+        }
+    }
+
     #[test]
     fn bridging_ablation_smoke() {
-        let a = bridging_ablation_with(DesignKind::CounterSmall);
-        assert_eq!(a.reports.len(), 3);
+        let a = run_counter("ablation");
+        assert_eq!(a.series.len(), 3);
+        let [_, alg1, bridged] = [0, 1, 2].map(|i| {
+            assert_eq!(a.series[i].points.len(), 1, "{}", a.series[i].label);
+            &a.series[i].points[0].report
+        });
         // The bridging config physically uses the backside.
-        let bridged = &a.reports[2].1;
         assert!(bridged.back_wirelength_mm >= 0.0);
         // And costs cells relative to Algorithm 1.
-        assert!(bridged.cells >= a.reports[1].1.cells);
+        assert!(bridged.cells >= alg1.cells);
+    }
+
+    #[test]
+    fn registry_names_are_unique_and_found() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(std::ptr::eq(find(e.name).expect("found"), e));
+            assert!(EXPERIMENTS[..i].iter().all(|f| f.name != e.name));
+        }
+        assert!(find("bogus").is_none());
+    }
+
+    #[test]
+    fn fig13_anchors_delta_on_the_twelve_layer_point() {
+        let pattern = |n| FlowConfig {
+            pattern: RoutingPattern::fixed(n, n),
+            ..FlowConfig::baseline(TechKind::Ffet3p5t)
+        };
+        let results = vec![
+            closed("FM12BM12", pattern(12), report(2.0, 1.0)),
+            closed("FM11BM11", pattern(11), report(1.0, 1.0)),
+        ];
+        let t = render_fig13(&results);
+        assert_eq!(t.rows[0][2], "+0.0%");
+        assert_eq!(t.rows[1][2], "-50.0%");
+        assert_eq!(t.notes.len(), 1);
+
+        // FM12BM12 did not close: its series has no point. The Δ cells stay
+        // empty rather than silently anchoring on FM11BM11.
+        let mut failed = results;
+        failed[0].points.clear();
+        let t = render_fig13(&failed);
+        assert_eq!(t.rows.len(), 1);
+        assert_eq!(t.rows[0][0], "FM11BM11");
+        assert_eq!(t.rows[0][2], "");
+        assert!(t.notes.iter().any(|n| n.contains("FM12BM12 did not close")));
+    }
+
+    #[test]
+    fn table3_without_a_baseline_renders_header_and_note() {
+        let doe = FlowConfig {
+            pattern: RoutingPattern::fixed(6, 6),
+            back_pin_ratio: 0.5,
+            ..FlowConfig::baseline(TechKind::Ffet3p5t)
+        };
+        let mut results = vec![
+            closed(
+                "baseline",
+                FlowConfig::baseline(TechKind::Ffet3p5t),
+                report(1.0, 1.0),
+            ),
+            closed("FP0.50BP0.50", doe, report(1.1, 0.9)),
+        ];
+        let t = render_table3(&results);
+        assert_eq!(
+            t.rows,
+            vec![vec!["FP0.50BP0.50", "FM6BM6", "+10.0%", "-10.0%", "0"]]
+        );
+
+        results[0].points.clear();
+        let t = render_table3(&results);
+        assert_eq!(t.header.len(), 5);
+        assert!(t.rows.is_empty());
+        assert!(t.notes.iter().any(|n| n.contains("baseline did not close")));
     }
 
     #[test]
@@ -1559,17 +1459,18 @@ mod tests {
     fn smoke_fig9_on_small_design() {
         // Plumbing check on the fast design: both configs produce points
         // and the FFET points are not slower across the board.
-        let f = fig9_with(DesignKind::CounterSmall);
-        assert!(f.points.len() >= 8);
-        let mean = |label: &str| {
-            let v: Vec<f64> = f
-                .points
+        let f = run_counter("fig9");
+        assert_eq!(f.series.len(), 2);
+        assert!(f.series.iter().map(|s| s.points.len()).sum::<usize>() >= 8);
+        let mean = |s: &SeriesResult| {
+            s.points
                 .iter()
-                .filter(|(l, ..)| l == label)
-                .map(|&(_, _, fr, _)| fr)
-                .collect();
-            v.iter().sum::<f64>() / v.len() as f64
+                .map(|p| p.report.achieved_freq_ghz)
+                .sum::<f64>()
+                / s.points.len() as f64
         };
-        assert!(mean("3.5T FFET FM12") > mean("4T CFET") * 0.95);
+        assert_eq!(f.series[0].label, "4T CFET");
+        assert_eq!(f.series[1].label, "3.5T FFET FM12");
+        assert!(mean(&f.series[1]) > mean(&f.series[0]) * 0.95);
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! This module implements the bridging alternative anyway, so the claim is
 //! testable: enable it via [`crate::PnrConfig::bridging_min_nm`] and
-//! compare against Algorithm 1 (see the `bridging_ablation` experiment).
+//! compare against Algorithm 1 (see the `ablation` experiment).
 
 use crate::dualside::pin_position;
 use crate::placement::Placement;

@@ -9,35 +9,42 @@
 //!   count (`FFET_ROUTE_JOBS`) are *independent* knobs — every point of
 //!   the {1,4} × {1,4} cross-matrix agrees byte for byte.
 
-use ffet_core::experiments::{self, utilization_sweep, DesignKind};
+use ffet_core::experiments::{self, utilization_sweep, DesignKind, ExpRun};
 use ffet_core::runner::Pool;
 use ffet_core::{designs, run_flow, FlowConfig};
 use ffet_tech::{RoutingPattern, TechKind};
+
+fn run_counter(name: &str, jobs: usize) -> ExpRun {
+    experiments::find(name)
+        .expect("registered experiment")
+        .run(DesignKind::CounterSmall, &Pool::new(jobs))
+}
 
 /// The same seeded sweep at `jobs=1` and `jobs=4` must agree byte for byte
 /// on every table artifact and on every underlying report.
 #[test]
 fn fig8_sweep_is_pool_width_invariant() {
-    let serial = experiments::fig8_on(DesignKind::CounterSmall, &Pool::new(1));
-    let parallel = experiments::fig8_on(DesignKind::CounterSmall, &Pool::new(4));
+    let serial = run_counter("fig8", 1);
+    let parallel = run_counter("fig8", 4);
     assert_eq!(
         serial.table.to_csv(),
         parallel.table.to_csv(),
         "CSV must be byte-identical at jobs=1 and jobs=4"
     );
-    assert_eq!(serial.max_utils, parallel.max_utils);
-    // Full PpaReport equality per sweep point, not just the rendered table.
-    assert_eq!(serial.sweeps, parallel.sweeps);
+    // Each series' max utilization and every point's full PpaReport, not
+    // just the rendered table.
+    assert_eq!(serial.series, parallel.series);
 }
 
-/// A mixed grid (baseline + 13 DoE rows sharing one netlist) reassembles
-/// identically at any width, including the diff-vs-baseline columns.
+/// A mixed grid (a baseline series plus 13 DoE rows in five pin-density
+/// series) reassembles identically at any width, including the
+/// diff-vs-baseline columns.
 #[test]
 fn table3_is_pool_width_invariant() {
-    let serial = experiments::table3_on(DesignKind::CounterSmall, &Pool::new(1));
-    let parallel = experiments::table3_on(DesignKind::CounterSmall, &Pool::new(4));
+    let serial = run_counter("table3", 1);
+    let parallel = run_counter("table3", 4);
     assert_eq!(serial.table.to_csv(), parallel.table.to_csv());
-    assert_eq!(serial.rows_data, parallel.rows_data);
+    assert_eq!(serial.series, parallel.series);
 }
 
 /// The {`FFET_JOBS`} × {`FFET_ROUTE_JOBS`} cross-matrix: a sweep's full

@@ -1,6 +1,6 @@
-//! Golden-run regression tests: the experiment tables for the CounterSmall
-//! design, diffed byte-for-byte against checked-in CSVs under
-//! `tests/golden/`.
+//! Golden-run regression test: the table of every experiment in
+//! `experiments::EXPERIMENTS` (flow experiments on the CounterSmall design),
+//! diffed byte-for-byte against checked-in CSVs under `tests/golden/`.
 //!
 //! These pin the full pipeline — synthesis, P&R, extraction, STA, table
 //! formatting — so any unintended numeric or formatting drift fails CI.
@@ -13,7 +13,8 @@
 //! FFET_BLESS=1 cargo test -p ffet-core --test golden_experiments
 //! ```
 
-use ffet_core::experiments::{self, DesignKind};
+use ffet_core::experiments::{DesignKind, EXPERIMENTS};
+use ffet_core::runner::Pool;
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -21,8 +22,8 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Diffs `fresh` against the checked-in golden, or regenerates the golden
-/// when `FFET_BLESS=1` is set.
-fn check_golden(name: &str, fresh: &str) {
+/// when `FFET_BLESS=1` is set. A missing golden is a failure.
+fn check_golden(name: &str, fresh: &str) -> Result<(), String> {
     let path = golden_path(name);
     if std::env::var("FFET_BLESS").as_deref() == Ok("1") {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
@@ -32,75 +33,61 @@ fn check_golden(name: &str, fresh: &str) {
         {
             eprintln!("blessed {}", path.display());
         }
-        return;
+        return Ok(());
     }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
+    let want = std::fs::read_to_string(&path).map_err(|e| {
+        format!(
             "missing golden {} ({e}); regenerate with FFET_BLESS=1 cargo test -p ffet-core --test golden_experiments",
             path.display()
         )
-    });
-    if want != fresh {
-        let diff_line = want
-            .lines()
-            .zip(fresh.lines())
-            .position(|(a, b)| a != b)
-            .map_or_else(
-                || {
-                    format!(
-                        "line counts differ ({} vs {})",
-                        want.lines().count(),
-                        fresh.lines().count()
-                    )
-                },
-                |i| {
-                    format!(
-                        "first difference at line {}:\n  golden: {}\n  fresh:  {}",
-                        i + 1,
-                        want.lines().nth(i).unwrap_or(""),
-                        fresh.lines().nth(i).unwrap_or("")
-                    )
-                },
-            );
-        panic!(
-            "{name} drifted from tests/golden/{name}.csv — {diff_line}\n\
-             If the change is intentional, re-bless with FFET_BLESS=1."
-        );
+    })?;
+    if want == fresh {
+        return Ok(());
     }
+    let diff_line = want
+        .lines()
+        .zip(fresh.lines())
+        .position(|(a, b)| a != b)
+        .map_or_else(
+            || {
+                format!(
+                    "line counts differ ({} vs {})",
+                    want.lines().count(),
+                    fresh.lines().count()
+                )
+            },
+            |i| {
+                format!(
+                    "first difference at line {}:\n  golden: {}\n  fresh:  {}",
+                    i + 1,
+                    want.lines().nth(i).unwrap_or(""),
+                    fresh.lines().nth(i).unwrap_or("")
+                )
+            },
+        );
+    Err(format!(
+        "{name} drifted from tests/golden/{name}.csv — {diff_line}\n\
+         If the change is intentional, re-bless with FFET_BLESS=1."
+    ))
 }
 
+/// Every registered experiment is pinned: the analytic tables (no series)
+/// against `<name>.csv`, the flow experiments on the CounterSmall design
+/// against `<name>_counter.csv`.
 #[test]
-fn golden_fig8_counter() {
-    let fig8 = experiments::fig8_with(DesignKind::CounterSmall);
-    check_golden("fig8_counter", &fig8.table.to_csv());
-}
-
-#[test]
-fn golden_fig9_counter() {
-    let fig9 = experiments::fig9_with(DesignKind::CounterSmall);
-    check_golden("fig9_counter", &fig9.table.to_csv());
-}
-
-#[test]
-fn golden_table3_counter() {
-    let table3 = experiments::table3_with(DesignKind::CounterSmall);
-    check_golden("table3_counter", &table3.table.to_csv());
-}
-
-#[test]
-fn golden_ablation_counter() {
-    let ablation = experiments::bridging_ablation_with(DesignKind::CounterSmall);
-    check_golden("ablation_counter", &ablation.table.to_csv());
-}
-
-/// The analytic (non-flow) tables are golden-pinned too; they are cheap and
-/// catch library/characterization drift at the source.
-#[test]
-fn golden_table1() {
-    check_golden("table1", &experiments::table1().table.to_csv());
-}
-
-#[test]
-fn golden_fig4() {
-    check_golden("fig4", &experiments::fig4().table.to_csv());
+fn every_registered_experiment_matches_its_golden() {
+    let pool = Pool::from_env();
+    let failures: Vec<String> = EXPERIMENTS
+        .iter()
+        .filter_map(|exp| {
+            let run = exp.run(DesignKind::CounterSmall, &pool);
+            let golden = if run.series.is_empty() {
+                exp.name.to_owned()
+            } else {
+                format!("{}_counter", exp.name)
+            };
+            check_golden(&golden, &run.table.to_csv()).err()
+        })
+        .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n\n"));
 }

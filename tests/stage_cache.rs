@@ -131,15 +131,15 @@ fn warm_fig8_reproduces_the_golden_csv_via_the_env_knob() {
     let _g = lock();
     let root = scratch("env");
     std::env::set_var(ffet_core::STAGE_CACHE_ENV, &root);
-    let cold_csv = experiments::fig8_on(DesignKind::CounterSmall, &Pool::new(1))
-        .table
-        .to_csv();
-    let warm1_csv = experiments::fig8_on(DesignKind::CounterSmall, &Pool::new(1))
-        .table
-        .to_csv();
-    let warm4_csv = experiments::fig8_on(DesignKind::CounterSmall, &Pool::new(4))
-        .table
-        .to_csv();
+    let fig8 = experiments::find("fig8").expect("fig8 is registered");
+    let csv = |jobs| {
+        fig8.run(DesignKind::CounterSmall, &Pool::new(jobs))
+            .table
+            .to_csv()
+    };
+    let cold_csv = csv(1);
+    let warm1_csv = csv(1);
+    let warm4_csv = csv(4);
     std::env::remove_var(ffet_core::STAGE_CACHE_ENV);
     assert_eq!(cold_csv, warm1_csv, "warm rerun at jobs=1 drifted");
     assert_eq!(cold_csv, warm4_csv, "warm rerun at jobs=4 drifted");
