@@ -1,6 +1,7 @@
-//! Golden-run regression test: the table of every experiment in
+//! Golden-run regression tests: the table of every experiment in
 //! `experiments::EXPERIMENTS` (flow experiments on the CounterSmall design),
-//! diffed byte-for-byte against checked-in CSVs under `tests/golden/`.
+//! one test each, diffed byte-for-byte against checked-in CSVs under
+//! `tests/golden/`.
 //!
 //! These pin the full pipeline — synthesis, P&R, extraction, STA, table
 //! formatting — so any unintended numeric or formatting drift fails CI.
@@ -13,7 +14,7 @@
 //! FFET_BLESS=1 cargo test -p ffet-core --test golden_experiments
 //! ```
 
-use ffet_core::experiments::{DesignKind, EXPERIMENTS};
+use ffet_core::experiments::{find, DesignKind, EXPERIMENTS};
 use ffet_core::runner::Pool;
 use std::path::PathBuf;
 
@@ -71,23 +72,54 @@ fn check_golden(name: &str, fresh: &str) -> Result<(), String> {
     ))
 }
 
-/// Every registered experiment is pinned: the analytic tables (no series)
-/// against `<name>.csv`, the flow experiments on the CounterSmall design
-/// against `<name>_counter.csv`.
+/// Runs the registered experiment `name` on the CounterSmall design and
+/// diffs its table against its golden: `<name>.csv` for the analytic tables
+/// (no series), `<name>_counter.csv` for the flow experiments.
+fn check_experiment(name: &str) {
+    let exp = find(name).unwrap_or_else(|| panic!("no registered experiment {name}"));
+    let run = exp.run(DesignKind::CounterSmall, &Pool::from_env());
+    let golden = if run.series.is_empty() {
+        name.to_owned()
+    } else {
+        format!("{name}_counter")
+    };
+    if let Err(msg) = check_golden(&golden, &run.table.to_csv()) {
+        panic!("{msg}");
+    }
+}
+
+/// One test per registered experiment, named after its golden, and the
+/// list of names they cover.
+macro_rules! golden_tests {
+    ($($test:ident => $name:literal,)*) => {
+        $(
+            #[test]
+            fn $test() {
+                check_experiment($name);
+            }
+        )*
+        const COVERED: &[&str] = &[$($name),*];
+    };
+}
+
+golden_tests! {
+    golden_table1 => "table1",
+    golden_table2 => "table2",
+    golden_fig4 => "fig4",
+    golden_fig8_counter => "fig8",
+    golden_fig9_counter => "fig9",
+    golden_fig10_counter => "fig10",
+    golden_fig11_counter => "fig11",
+    golden_table3_counter => "table3",
+    golden_fig12_counter => "fig12",
+    golden_fig13_counter => "fig13",
+    golden_ablation_counter => "ablation",
+}
+
+/// Every registered experiment is pinned: a new registry entry without a
+/// golden test above fails here.
 #[test]
-fn every_registered_experiment_matches_its_golden() {
-    let pool = Pool::from_env();
-    let failures: Vec<String> = EXPERIMENTS
-        .iter()
-        .filter_map(|exp| {
-            let run = exp.run(DesignKind::CounterSmall, &pool);
-            let golden = if run.series.is_empty() {
-                exp.name.to_owned()
-            } else {
-                format!("{}_counter", exp.name)
-            };
-            check_golden(&golden, &run.table.to_csv()).err()
-        })
-        .collect();
-    assert!(failures.is_empty(), "{}", failures.join("\n\n"));
+fn every_registered_experiment_has_a_golden_test() {
+    let registered: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    assert_eq!(registered, COVERED);
 }
