@@ -110,20 +110,15 @@ pub fn place(
     if !qp_nets.is_empty() {
         let mut anchor_x = x.clone();
         let mut anchor_y = y.clone();
+        let mut solver = crate::qp::QpSolver::default();
+        let mut spread_scratch = SpreadScratch::default();
         for outer in 0..PLACEMENT_ITERATIONS {
             let anchor_w = 1e-5 * (1.55f64).powi(outer as i32);
-            crate::qp::solve_axis(
+            solver.solve(
                 &qp_nets,
-                ffet_geom::Axis::Horizontal,
                 &mut x,
-                &anchor_x,
-                anchor_w,
-                &fixed_mask,
-            );
-            crate::qp::solve_axis(
-                &qp_nets,
-                ffet_geom::Axis::Vertical,
                 &mut y,
+                &anchor_x,
                 &anchor_y,
                 anchor_w,
                 &fixed_mask,
@@ -137,14 +132,13 @@ pub fn place(
                 &mut anchor_y,
                 cpp,
                 row_h,
-                1.0,
+                &mut spread_scratch,
             );
         }
         // Hand the legalizer the density-feasible upper-bound positions.
         x = anchor_x;
         y = anchor_y;
     }
-    let _ = &order;
 
     // ---- Legalization ----
     legalize(
@@ -216,6 +210,13 @@ fn connectivity_order(netlist: &Netlist, rng: &mut Rng64) -> Vec<usize> {
     order
 }
 
+/// Buffers of [`spread`], reused across the outer iterations of `place`.
+#[derive(Debug, Default)]
+struct SpreadScratch {
+    idx: Vec<usize>,
+    row_members: Vec<Vec<usize>>,
+}
+
 /// Density projection: bins cells into rows by y order, then spreads each
 /// row's cells along x in sorted order proportionally to capacity.
 fn spread(
@@ -225,19 +226,24 @@ fn spread(
     y: &mut [f64],
     cpp: f64,
     row_h: Nm,
-    strength: f64,
+    scratch: &mut SpreadScratch,
 ) {
     let n_rows = floorplan.rows.len().max(1);
     let n = x.len();
-    let mut idx: Vec<usize> = (0..n).collect();
+    let SpreadScratch { idx, row_members } = scratch;
+    idx.clear();
+    idx.extend(0..n);
     idx.sort_by(|&a, &b| y[a].total_cmp(&y[b]).then(x[a].total_cmp(&x[b])));
     // Allocate cells to rows with equal total width per row.
     let total_w: i64 = widths.iter().sum();
     let per_row = total_w as f64 / n_rows as f64;
     let mut row = 0usize;
     let mut acc = 0.0;
-    let mut row_members: Vec<Vec<usize>> = vec![Vec::new(); n_rows];
-    for &i in &idx {
+    row_members.resize_with(n_rows, Vec::new);
+    for members in row_members.iter_mut() {
+        members.clear();
+    }
+    for &i in idx.iter() {
         if acc > per_row && row + 1 < n_rows {
             row += 1;
             acc = 0.0;
@@ -263,10 +269,7 @@ fn spread(
         let offset = ((row_sites - span) / 2.0).max(0.0);
         for &i in members.iter() {
             let w = widths[i] as f64 * scale;
-            let target = floorplan.rows[r].x as f64 + (offset + cursor + w / 2.0) * cpp;
-            // Blend: keep attraction but stay feasible; `strength` ramps
-            // the projection in over the iterations.
-            x[i] = (1.0 - strength) * x[i] + strength * target;
+            x[i] = floorplan.rows[r].x as f64 + (offset + cursor + w / 2.0) * cpp;
             y[i] = floorplan.rows[r].y as f64 + 0.5 * row_h as f64;
             cursor += w;
         }
