@@ -56,6 +56,7 @@
 use ffet_core::ckpt;
 use ffet_core::experiments::{self, DesignKind, ExpTable, Experiment};
 use ffet_core::runner::{Pool, RunLog};
+use ffet_core::Stage;
 use ffet_obs::RunArtifacts;
 use std::env;
 use std::path::Path;
@@ -125,40 +126,21 @@ fn ledger_entry(
         &artifacts.merged_metrics(),
     );
     entry.timing.jobs = pool.width() as i64;
-    entry.timing.route_jobs = env::var(ffet_core::ROUTE_JOBS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(pool.width() as i64);
+    entry.timing.route_jobs = ffet_core::route_jobs_from_env() as i64;
     entry.timing.host_cores = std::thread::available_parallelism().map_or(1, |n| n.get() as i64);
     entry.timing.wall_ms = artifacts.wall_ms;
-    // Aggregate per-stage wall time across every flow point that reported
-    // stage telemetry.
-    let mut stages: [(&str, f64); 6] = [
-        ("synth_ms", 0.0),
-        ("pnr_ms", 0.0),
-        ("merge_ms", 0.0),
-        ("signoff_ms", 0.0),
-        ("rcx_ms", 0.0),
-        ("sta_ms", 0.0),
-    ];
-    for row in &log.rows {
-        if let Some(s) = &row.stages {
-            for (name, total) in &mut stages {
-                *total += match *name {
-                    "synth_ms" => s.synth_ms,
-                    "pnr_ms" => s.pnr_ms,
-                    "merge_ms" => s.merge_ms,
-                    "signoff_ms" => s.signoff_ms,
-                    "rcx_ms" => s.rcx_ms,
-                    _ => s.sta_ms,
-                };
-            }
+    // Per-stage wall time: the sum of the flow rows' stage cells.
+    let mut stage_ms = [0.0; 6];
+    for ms in log.rows.iter().filter_map(|r| r.stage_ms) {
+        for (total, m) in stage_ms.iter_mut().zip(ms) {
+            *total += m;
         }
     }
-    entry.timing.stages = stages
+    entry.timing.stages = Stage::ALL
         .iter()
-        .filter(|(_, total)| *total > 0.0)
-        .map(|&(name, total)| (name.to_owned(), total))
+        .zip(stage_ms)
+        .filter(|&(_, total)| total > 0.0)
+        .map(|(stage, total)| (format!("{}_ms", stage.name()), total))
         .collect();
     // Per-stage cache hit-rates ride as named pairs inside `timing.stages`
     // (schema-compatible). Hit/miss counts are scheduling-dependent —
@@ -174,7 +156,7 @@ fn ledger_entry(
     };
     let (mut total_hits, mut total_misses) = (0u64, 0u64);
     #[allow(clippy::cast_precision_loss)]
-    for stage in ["synth", "pnr", "merge", "signoff", "rcx", "sta"] {
+    for stage in Stage::ALL.map(Stage::name) {
         let (hits, misses) = (count("hit", stage), count("miss", stage));
         total_hits += hits;
         total_misses += misses;
@@ -256,7 +238,6 @@ fn trace_cmd(query: Option<&str>) -> i32 {
 }
 
 fn main() {
-    let mut jobs: Option<usize> = None;
     let mut no_cache = false;
     let mut design = match env::var("FFET_DESIGN").as_deref() {
         Ok("counter") => DesignKind::CounterSmall,
@@ -266,18 +247,18 @@ fn main() {
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => jobs = Some(n),
-                _ => usage(),
-            },
             "--design" => match args.next().as_deref() {
                 Some("counter") => design = DesignKind::CounterSmall,
                 Some("rv32") => design = DesignKind::Rv32,
                 _ => usage(),
             },
             // Configs are built from the environment deep inside the
-            // experiment runners, so the flag travels as the env var it
-            // aliases.
+            // experiment runners, so each flag travels as the env var it
+            // aliases. `--jobs` also sets the default `--route-jobs`.
+            "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n >= 1 => env::set_var(ffet_core::runner::JOBS_ENV, n.to_string()),
+                _ => usage(),
+            },
             "--max-attempts" => match args.next().and_then(|v| v.parse::<u32>().ok()) {
                 Some(n) if n >= 1 => env::set_var(ffet_core::MAX_ATTEMPTS_ENV, n.to_string()),
                 _ => usage(),
@@ -312,7 +293,7 @@ fn main() {
     if positional.len() > 1 {
         usage();
     }
-    let pool = jobs.map_or_else(Pool::from_env, Pool::new);
+    let pool = Pool::from_env();
 
     let t0 = Instant::now();
     let mut log = RunLog::new(pool.width());
@@ -489,7 +470,6 @@ fn sanity() {
     );
 }
 
-#[allow(dead_code)]
 fn hotspots() {
     use ffet_core::{designs, run_flow, FlowConfig};
     use ffet_tech::{RoutingPattern, TechKind};

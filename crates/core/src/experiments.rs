@@ -15,7 +15,7 @@
 //! fast smoke tests of the experiment plumbing.
 
 use crate::designs;
-use crate::flow::{FlowConfig, FlowError, StageTimes};
+use crate::flow::{FlowConfig, FlowError};
 use crate::recover::{run_flow_resilient, PointFailure, PointRecovery};
 use crate::report::{pct_diff, PpaReport};
 use crate::runner::{JobError, JobOutcome, Pool, RunLogRow};
@@ -545,9 +545,9 @@ pub struct UtilPoint {
     pub report: PpaReport,
 }
 
-/// A flow job's distilled result: the PPA point, its stage telemetry, and
-/// how the recovery ladder disposed of it.
-type FlowPoint = (PpaReport, StageTimes, PointRecovery);
+/// A flow job's distilled result: the PPA point and how the recovery ladder
+/// disposed of it.
+type FlowPoint = (PpaReport, PointRecovery);
 
 /// Wraps a [`FlowError`] from a context build (before any flow attempt
 /// ran) as a zero-attempt [`PointFailure`].
@@ -566,7 +566,7 @@ fn flow_job(
 ) -> Result<FlowPoint, PointFailure> {
     let r = run_flow_resilient(netlist, library, config);
     match r.outcome {
-        Ok(o) => Ok((o.report, o.stages, r.recovery)),
+        Ok(o) => Ok((o.report, r.recovery)),
         Err(error) => Err(PointFailure {
             error,
             attempts: r.recovery.attempts,
@@ -574,13 +574,13 @@ fn flow_job(
     }
 }
 
-/// Builds the runlog row for one resilient flow point: pool telemetry plus
-/// the recovery ladder's attempt count and final disposition.
+/// Builds the runlog row for one resilient flow point: pool telemetry, the
+/// stage times of every attempt (from the job's trace), and the recovery
+/// ladder's attempt count and final disposition.
 fn flow_row(experiment: &str, label: String, o: &JobOutcome<FlowPoint, PointFailure>) -> RunLogRow {
-    let stages = o.result.as_ref().ok().map(|(_, s, _)| *s);
-    let mut row = RunLogRow::from_stats(experiment, label, &o.stats, stages);
+    let mut row = RunLogRow::from_stats(experiment, label, &o.stats, Some(&o.trace));
     match &o.result {
-        Ok((_, _, rec)) => {
+        Ok((_, rec)) => {
             row.attempts = rec.attempts;
             row.disposition = rec.disposition.to_cell();
         }
@@ -686,7 +686,7 @@ fn assemble(
     let mut max_util = None;
     for point in &series.points {
         let label = join_label(&[&series.label, &point.label]);
-        let mut runs: Vec<(PpaReport, PointRecovery)> = Vec::new();
+        let mut runs: Vec<FlowPoint> = Vec::new();
         // `zip` stops at the seeds without pulling a further outcome.
         for (&seed, o) in series.seeds.iter().zip(&mut *outcomes) {
             let seed_label = if series.seeds.len() > 1 {
@@ -701,8 +701,8 @@ fn assemble(
                 runlog,
                 traces,
             );
-            if let Ok((report, _, rec)) = o.result {
-                runs.push((report, rec));
+            if let Ok(run) = o.result {
+                runs.push(run);
             }
         }
         if runs.is_empty() {

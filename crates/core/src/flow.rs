@@ -159,40 +159,6 @@ impl FlowConfig {
     }
 }
 
-/// Wall-clock breakdown of one flow run by Fig. 7 stage, in milliseconds.
-///
-/// Telemetry only: timings feed the DoE runner's `runlog.csv`, never the
-/// experiment tables (which must stay byte-identical run to run).
-///
-/// This is the compatibility view of the flow's stage spans: since the
-/// observability refactor the authoritative record is the `flow.*` span
-/// tree in `results/trace.jsonl`; each field here is the `close_ms()` of
-/// the corresponding span, so `runlog.csv` keeps its schema.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageTimes {
-    /// Synthesis-lite (fanout buffering + drive sizing).
-    pub synth_ms: f64,
-    /// Physical implementation (floorplan → powerplan → place → CTS →
-    /// dual-sided route).
-    pub pnr_ms: f64,
-    /// Dual-sided DEF merge.
-    pub merge_ms: f64,
-    /// Static signoff (lint + DRC + LVS-lite).
-    pub signoff_ms: f64,
-    /// RC extraction from the merged DEF.
-    pub rcx_ms: f64,
-    /// STA + power analysis.
-    pub sta_ms: f64,
-}
-
-impl StageTimes {
-    /// Sum of all stage timings, ms.
-    #[must_use]
-    pub fn total_ms(&self) -> f64 {
-        self.synth_ms + self.pnr_ms + self.merge_ms + self.signoff_ms + self.rcx_ms + self.sta_ms
-    }
-}
-
 /// Everything one flow run produced (report + artifacts for inspection).
 #[derive(Debug, Clone)]
 pub struct FlowOutcome {
@@ -211,8 +177,6 @@ pub struct FlowOutcome {
     /// LVS-lite). Always clean of errors when this outcome is returned;
     /// its warnings are the signoff view of the DRV proxy.
     pub signoff: SignoffReport,
-    /// Wall-clock breakdown by stage (telemetry; varies run to run).
-    pub stages: StageTimes,
 }
 
 impl FlowOutcome {
@@ -313,7 +277,6 @@ pub fn run_flow(
 ) -> Result<FlowOutcome, FlowError> {
     use crate::stagecache::{self, run_stage, StageCache};
 
-    let mut stages = StageTimes::default();
     let faults = &config.fault_plan;
 
     // The stage cache is forcibly off under any fault plan: faulted or
@@ -357,7 +320,7 @@ pub fn run_flow(
     // `back_pin_ratio` and `seed` (synthesis never sees pin geometry), so
     // every point of a BP/seed axis shares one entry.
     let synth_cache_key = cache.map(|_| stagecache::synth_key(config, netlist));
-    let (netlist, synth_ms, synth_addr) = run_stage::<_, FlowError>(
+    let (netlist, synth_addr) = run_stage::<_, FlowError>(
         cache,
         synth_cache_key,
         stagecache::Stage::Synth.name(),
@@ -372,12 +335,11 @@ pub fn run_flow(
                 &SynthConfig::for_target(config.target_freq_ghz),
             )
             .map_err(FlowError::Synth)?;
-            let ms = sp.close_ms();
+            sp.close();
             ffet_obs::gauge_set("flow.cells", netlist.instances().len() as f64);
-            Ok((netlist, ms))
+            Ok(netlist)
         },
     )?;
-    stages.synth_ms = synth_ms;
     faults.maybe_panic(FlowStage::Synth);
     check_deadline(FlowStage::Synth)?;
 
@@ -405,7 +367,7 @@ pub fn run_flow(
     let pnr_cache_key = synth_addr
         .as_deref()
         .map(|a| stagecache::pnr_key(config, a));
-    let ((mut netlist, mut pnr), pnr_ms, pnr_addr) = run_stage::<_, FlowError>(
+    let ((mut netlist, mut pnr), pnr_addr) = run_stage::<_, FlowError>(
         cache,
         pnr_cache_key,
         stagecache::Stage::Pnr.name(),
@@ -421,10 +383,10 @@ pub fn run_flow(
                 }
                 r => r?,
             };
-            Ok(((netlist, pnr), sp.close_ms()))
+            sp.close();
+            Ok((netlist, pnr))
         },
     )?;
-    stages.pnr_ms = pnr_ms;
     faults.maybe_panic(FlowStage::Pnr);
     check_deadline(FlowStage::Pnr)?;
     if !faults.is_empty() {
@@ -434,7 +396,7 @@ pub fn run_flow(
     // DEF merge (paper: "we first merged the two DEFs into one DEF"). A
     // pure function of the two side DEFs, so the key is the pnr address
     // alone.
-    let (mut merged_def, merge_ms, merge_addr) = run_stage::<_, FlowError>(
+    let (mut merged_def, merge_addr) = run_stage::<_, FlowError>(
         cache,
         pnr_addr.as_deref().map(stagecache::merge_key),
         stagecache::Stage::Merge.name(),
@@ -444,10 +406,10 @@ pub fn run_flow(
             let sp = ffet_obs::span("flow.merge");
             let merged = merge_defs(&pnr.front_def, &pnr.back_def)
                 .map_err(|e| FlowError::Merge(e.to_string()))?;
-            Ok((merged, sp.close_ms()))
+            sp.close();
+            Ok(merged)
         },
     )?;
-    stages.merge_ms = merge_ms;
     faults.maybe_panic(FlowStage::Merge);
     check_deadline(FlowStage::Merge)?;
     if !faults.is_empty() {
@@ -464,7 +426,7 @@ pub fn run_flow(
         (Some(p), Some(m)) => Some(stagecache::signoff_key(config, p, m)),
         _ => None,
     };
-    let (signoff, signoff_ms, _signoff_addr) = run_stage::<_, FlowError>(
+    let (signoff, _signoff_addr) = run_stage::<_, FlowError>(
         cache,
         signoff_cache_key,
         stagecache::Stage::Signoff.name(),
@@ -481,18 +443,17 @@ pub fn run_flow(
                 // `sp` drops here, recording the span.
                 return Err(FlowError::Signoff(signoff));
             }
-            let ms = sp.close_ms();
-            Ok((signoff, ms))
+            sp.close();
+            Ok(signoff)
         },
     )?;
-    stages.signoff_ms = signoff_ms;
 
     // Dual-sided RC extraction from the merged DEF.
     let rcx_cache_key = match (pnr_addr.as_deref(), merge_addr.as_deref()) {
         (Some(p), Some(m)) => Some(stagecache::rcx_key(config, p, m)),
         _ => None,
     };
-    let (parasitics, rcx_ms, rcx_addr) = run_stage::<_, FlowError>(
+    let (parasitics, rcx_addr) = run_stage::<_, FlowError>(
         cache,
         rcx_cache_key,
         stagecache::Stage::Rcx.name(),
@@ -501,10 +462,10 @@ pub fn run_flow(
         || {
             let sp = ffet_obs::span("flow.rcx");
             let parasitics = extract_all(&netlist, library, &pnr, &merged_def);
-            Ok((parasitics, sp.close_ms()))
+            sp.close();
+            Ok(parasitics)
         },
     )?;
-    stages.rcx_ms = rcx_ms;
 
     // STA + power at the achieved frequency.
     let sta_config = StaConfig {
@@ -516,7 +477,7 @@ pub fn run_flow(
         (Some(p), Some(r)) => Some(stagecache::sta_key(config, p, r)),
         _ => None,
     };
-    let ((timing, power), sta_ms, _sta_addr) = run_stage::<_, FlowError>(
+    let ((timing, power), _sta_addr) = run_stage::<_, FlowError>(
         cache,
         sta_cache_key,
         stagecache::Stage::Sta.name(),
@@ -539,10 +500,10 @@ pub fn run_flow(
                 &sta_config,
                 config.target_freq_ghz,
             );
-            Ok(((timing, power), sp.close_ms()))
+            sp.close();
+            Ok((timing, power))
         },
     )?;
-    stages.sta_ms = sta_ms;
 
     let report = PpaReport {
         tech: library.tech().to_string(),
@@ -574,7 +535,6 @@ pub fn run_flow(
         timing,
         parasitics,
         signoff,
-        stages,
     })
 }
 

@@ -42,7 +42,7 @@ mod synth;
 pub use faults::{Fault, FaultKind, FaultPlan, FlowStage, FAULTS_ENV};
 pub use flow::{
     deadline_ms_from_env, route_jobs_from_env, run_flow, FlowConfig, FlowError, FlowOutcome,
-    StageTimes, DEADLINE_ENV, ROUTE_JOBS_ENV,
+    DEADLINE_ENV, ROUTE_JOBS_ENV,
 };
 pub use recover::{
     run_flow_resilient, AttemptLog, AttemptRecord, PointDisposition, PointFailure, PointRecovery,

@@ -23,7 +23,8 @@
 
 use std::time::Duration;
 
-pub use crate::flow::StageTimes;
+use crate::stagecache::Stage;
+use ffet_obs::PointData;
 pub use ffet_pool::{
     panic_message, width_from, CancelToken, Disposition, JobError, JobOutcome, JobStats, Pool,
     JOBS_ENV,
@@ -47,8 +48,11 @@ pub struct RunLogRow {
     pub worker: usize,
     /// Wall-clock time, ms.
     pub wall_ms: f64,
-    /// Per-stage breakdown of the flow, when the job ran the flow.
-    pub stages: Option<StageTimes>,
+    /// Wall time of each flow stage, ms, in [`Stage::ALL`] order: the
+    /// job's `flow.<stage>` spans summed over every attempt (a stage
+    /// replayed from the stage cache adds its stored zero). `None` for rows
+    /// that ran no flow.
+    pub stage_ms: Option<[f64; 6]>,
     /// Flow attempts executed for this point (1 = no recovery; 0 for
     /// synthetic rows that ran nothing).
     pub attempts: u32,
@@ -58,13 +62,14 @@ pub struct RunLogRow {
 }
 
 impl RunLogRow {
-    /// Builds a row from pool telemetry plus experiment-level context.
+    /// Builds a row from pool telemetry plus experiment-level context; a
+    /// flow job passes its trace so the stage cells are derived from it.
     #[must_use]
     pub fn from_stats(
         experiment: &str,
         label: String,
         stats: &JobStats,
-        stages: Option<StageTimes>,
+        trace: Option<&PointData>,
     ) -> RunLogRow {
         RunLogRow {
             experiment: experiment.to_owned(),
@@ -72,7 +77,8 @@ impl RunLogRow {
             index: stats.index,
             worker: stats.worker,
             wall_ms: stats.wall.as_secs_f64() * 1e3,
-            stages,
+            stage_ms: trace
+                .map(|t| Stage::ALL.map(|stage| t.span_ms(&format!("flow.{}", stage.name())))),
             attempts: 1,
             disposition: stats.disposition.to_cell(),
         }
@@ -87,7 +93,7 @@ impl RunLogRow {
             index,
             worker: 0,
             wall_ms: 0.0,
-            stages: None,
+            stage_ms: None,
             attempts: 0,
             disposition: Disposition::Skipped(reason.to_owned()).to_cell(),
         }
@@ -129,7 +135,7 @@ impl RunLog {
             index,
             worker: 0,
             wall_ms: wall.as_secs_f64() * 1e3,
-            stages: None,
+            stage_ms: None,
             attempts: 0,
             disposition: Disposition::Completed.to_cell(),
         });
@@ -177,23 +183,17 @@ impl RunLog {
             "experiment,label,index,worker,wall_ms,synth_ms,pnr_ms,merge_ms,signoff_ms,rcx_ms,sta_ms,attempts,disposition\n",
         );
         for r in &self.rows {
-            let stage = |pick: fn(&StageTimes) -> f64| -> String {
-                r.stages
-                    .map_or_else(String::new, |s| format!("{:.3}", pick(&s)))
-            };
+            let stages: [String; 6] = r
+                .stage_ms
+                .map_or_else(Default::default, |ms| ms.map(|m| format!("{m:.3}")));
             out.push_str(&format!(
-                "{},{},{},{},{:.3},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{:.3},{},{},{}\n",
                 quote(&r.experiment),
                 quote(&r.label),
                 r.index,
                 r.worker,
                 r.wall_ms,
-                stage(|s| s.synth_ms),
-                stage(|s| s.pnr_ms),
-                stage(|s| s.merge_ms),
-                stage(|s| s.signoff_ms),
-                stage(|s| s.rcx_ms),
-                stage(|s| s.sta_ms),
+                stages.join(","),
                 r.attempts,
                 quote(&r.disposition),
             ));
@@ -230,5 +230,58 @@ mod tests {
         assert!(log
             .summary("figX")
             .contains("1 jobs (1 ok, 0 failed/skipped)"));
+    }
+
+    /// The stage cells are the `flow.<stage>` spans summed over every
+    /// attempt: a replayed (zero-duration) span adds nothing, a nested
+    /// span of the same stage is not double-counted, and a stage that
+    /// never ran renders `0.000`.
+    #[test]
+    fn runlog_stage_cells_sum_flow_spans_over_attempts() {
+        let span = |id, parent, name: &str, dur_us| ffet_obs::SpanEvent {
+            id,
+            parent,
+            depth: u16::from(parent.is_some()),
+            name: name.to_owned(),
+            start_us: 0.0,
+            dur_us,
+            attrs: Vec::new(),
+        };
+        // Attempt 1 runs synth and P&R; attempt 2 replays synth from the
+        // stage cache and reruns P&R.
+        let trace = PointData {
+            events: vec![
+                span(1, Some(0), "flow.synth", 250.0),
+                span(3, Some(2), "pnr.place", 900.0),
+                span(2, Some(0), "flow.pnr", 1500.0),
+                span(0, None, "flow.attempt", 1800.0),
+                span(5, Some(4), "flow.synth", 0.0),
+                span(6, Some(4), "flow.pnr", 2000.0),
+                span(4, None, "flow.attempt", 2100.0),
+            ],
+            ..PointData::default()
+        };
+        let stats = JobStats {
+            index: 0,
+            worker: 1,
+            wall: Duration::from_millis(4),
+            disposition: Disposition::Completed,
+        };
+        let mut row = RunLogRow::from_stats("figX", "p0".into(), &stats, Some(&trace));
+        row.attempts = 2;
+        row.disposition = "recovered(1)".into();
+        assert_eq!(row.stage_ms, Some([0.25, 3.5, 0.0, 0.0, 0.0, 0.0]));
+        let build = RunLogRow::from_stats("figX", "build:s".into(), &stats, None);
+        let mut log = RunLog::new(2);
+        log.record_experiment("figX", vec![build, row], Duration::from_millis(5));
+        assert_eq!(
+            log.to_csv(),
+            "experiment,label,index,worker,wall_ms,synth_ms,pnr_ms,merge_ms,signoff_ms,rcx_ms,sta_ms,attempts,disposition\n\
+             figX,build:s,0,1,4.000,,,,,,,1,ok\n\
+             figX,p0,0,1,4.000,0.250,3.500,0.000,0.000,0.000,0.000,2,recovered(1)\n\
+             figX,(total),2,0,5.000,,,,,,,0,ok\n\
+             # jobs=2\n\
+             # telemetry only: wall times and worker ids vary run to run; experiment tables are byte-stable\n"
+        );
     }
 }

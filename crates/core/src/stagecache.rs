@@ -1634,16 +1634,16 @@ pub fn gc(root: &Path) -> std::io::Result<GcReport> {
 ///   collector, exactly as an uncached flow would (zero overhead, byte-
 ///   identical event stream).
 /// - Hit → the payload is decoded, its captured trace is
-///   [`ffet_obs::replay`]ed (root spans get `cached=true`), and the
-///   artifact is returned with a stage time of `0.0` ms.
+///   [`ffet_obs::replay`]ed (root spans get `cached=true`; their stored
+///   durations are zero), and the artifact is returned.
 /// - Miss → `compute` runs under [`ffet_obs::capture`]; on success the
 ///   capture is replayed (`cached=false`), timing-stripped, encoded and
 ///   stored. Errors are replayed but never stored, so failed attempts
 ///   (timeouts, dirty signoff) cannot populate the cache.
 ///
-/// Returns `(artifact, stage_ms, payload_addr)`; the address is `None`
-/// when uncached or when the store failed (downstream stages then skip
-/// caching too, keeping keys sound).
+/// Returns `(artifact, payload_addr)`; the address is `None` when uncached
+/// or when the store failed (downstream stages then skip caching too,
+/// keeping keys sound).
 ///
 /// # Errors
 ///
@@ -1654,11 +1654,10 @@ pub fn run_stage<T, E>(
     stage: &'static str,
     encode: impl FnOnce(&T, &PointData) -> String,
     decode: impl FnOnce(&str) -> Option<(T, PointData)>,
-    compute: impl FnOnce() -> Result<(T, f64), E>,
-) -> Result<(T, f64, Option<String>), E> {
+    compute: impl FnOnce() -> Result<T, E>,
+) -> Result<(T, Option<String>), E> {
     let (Some(cache), Some(key)) = (cache, key) else {
-        let (value, ms) = compute()?;
-        return Ok((value, ms, None));
+        return Ok((compute()?, None));
     };
     if let Some((addr, body)) = cache.lookup(&key) {
         if let Some((value, data)) = decode(&body) {
@@ -1668,36 +1667,25 @@ pub fn run_stage<T, E>(
                 ffet_obs::ambient_elapsed_us(),
                 &[("cached".to_owned(), AttrValue::Bool(true))],
             );
-            return Ok((value, 0.0, Some(addr)));
+            return Ok((value, Some(addr)));
         }
     }
     ffet_obs::cache_event("cache.miss", stage);
     let offset_us = ffet_obs::ambient_elapsed_us();
     let (result, mut data) = ffet_obs::capture(compute);
-    match result {
-        Ok((value, ms)) => {
-            ffet_obs::replay(
-                &data,
-                offset_us,
-                &[("cached".to_owned(), AttrValue::Bool(false))],
-            );
-            ffet_obs::strip_point_timing(&mut data);
-            let payload = encode(&value, &data);
-            let addr = cache.store(&key, stage, &payload);
-            if addr.is_some() {
-                ffet_obs::cache_event("cache.store", stage);
-            }
-            Ok((value, ms, addr))
-        }
-        Err(e) => {
-            ffet_obs::replay(
-                &data,
-                offset_us,
-                &[("cached".to_owned(), AttrValue::Bool(false))],
-            );
-            Err(e)
-        }
+    ffet_obs::replay(
+        &data,
+        offset_us,
+        &[("cached".to_owned(), AttrValue::Bool(false))],
+    );
+    let value = result?;
+    ffet_obs::strip_point_timing(&mut data);
+    let payload = encode(&value, &data);
+    let addr = cache.store(&key, stage, &payload);
+    if addr.is_some() {
+        ffet_obs::cache_event("cache.store", stage);
     }
+    Ok((value, addr))
 }
 
 #[cfg(test)]
@@ -1900,9 +1888,9 @@ mod tests {
             "synth",
             |_, _| String::new(),
             |_| None,
-            || Ok((7, 1.0)),
+            || Ok(7),
         );
-        assert_eq!(out, Ok((7, 1.0, None)));
+        assert_eq!(out, Ok((7, None)));
     }
 
     #[test]

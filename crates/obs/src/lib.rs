@@ -130,6 +130,20 @@ pub struct PointData {
     pub metrics: MetricsSnapshot,
 }
 
+impl PointData {
+    /// Total wall time, in milliseconds, of every span named `name`. The
+    /// sum starts from `+0.0`, so a span that never ran reads `0.0` rather
+    /// than `f64: Sum`'s `-0.0`.
+    #[must_use]
+    pub fn span_ms(&self, name: &str) -> f64 {
+        self.events
+            .iter()
+            .filter(|e| e.name == name)
+            .fold(0.0, |us, e| us + e.dur_us)
+            / 1e3
+    }
+}
+
 struct Inner {
     epoch: Instant,
     next_id: u32,
@@ -222,7 +236,8 @@ impl Collector {
         }
     }
 
-    fn open_span(&self, start: Instant) -> OpenToken {
+    fn open_span(&self) -> OpenToken {
+        let start = Instant::now();
         let mut inner = self.inner.borrow_mut();
         let id = inner.next_id;
         inner.next_id += 1;
@@ -235,6 +250,7 @@ impl Collector {
             id,
             parent,
             depth,
+            start,
             start_us,
         }
     }
@@ -274,30 +290,27 @@ struct OpenToken {
     id: u32,
     parent: Option<u32>,
     depth: u16,
+    start: Instant,
     start_us: f64,
 }
 
 /// An in-flight span. Create with [`span`]; close explicitly with
-/// [`Span::close`] or [`Span::close_ms`], or let it drop (error paths and
-/// panics record the span automatically).
+/// [`Span::close`], or let it drop (error paths and panics record the span
+/// automatically).
 pub struct Span {
-    start: Instant,
     name: &'static str,
     attrs: Vec<(String, AttrValue)>,
     open: Option<OpenToken>,
 }
 
 /// Open a span named `name` under the thread's ambient collector. Without
-/// an installed collector the span still measures wall time (so
-/// [`Span::close_ms`] works) but records nothing.
+/// an installed collector the span records nothing and never reads the
+/// clock.
 pub fn span(name: &'static str) -> Span {
-    let start = Instant::now();
-    let open = with_collector(|c| c.open_span(start));
     Span {
-        start,
         name,
         attrs: Vec::new(),
-        open,
+        open: with_collector(Collector::open_span),
     }
 }
 
@@ -328,15 +341,7 @@ impl Span {
         self.finish();
     }
 
-    /// Close the span and return its wall-clock duration in milliseconds.
-    /// Works (returns elapsed time) even when tracing is disabled, so
-    /// legacy stage-time accounting can be derived unconditionally.
-    pub fn close_ms(mut self) -> f64 {
-        self.finish()
-    }
-
-    fn finish(&mut self) -> f64 {
-        let elapsed = self.start.elapsed();
+    fn finish(&mut self) {
         if let Some(token) = self.open.take() {
             let event = SpanEvent {
                 id: token.id,
@@ -344,20 +349,17 @@ impl Span {
                 depth: token.depth,
                 name: self.name.to_string(),
                 start_us: token.start_us,
-                dur_us: elapsed.as_secs_f64() * 1e6,
+                dur_us: token.start.elapsed().as_secs_f64() * 1e6,
                 attrs: std::mem::take(&mut self.attrs),
             };
             token.collector.close_span(&token, event);
         }
-        elapsed.as_secs_f64() * 1e3
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.open.is_some() {
-            self.finish();
-        }
+        self.finish();
     }
 }
 
@@ -575,13 +577,13 @@ mod tests {
     }
 
     #[test]
-    fn no_collector_is_a_noop_but_close_ms_still_times() {
-        let sp = span("orphan");
+    fn no_collector_is_a_noop() {
+        let sp = span("orphan").attr("k", 1_i64);
+        assert!(sp.open.is_none() && sp.attrs.is_empty());
         counter_add("c", 1);
         gauge_set("g", 1.0);
         observe("h", 1.0);
-        let ms = sp.close_ms();
-        assert!(ms >= 0.0);
+        sp.close();
     }
 
     #[test]

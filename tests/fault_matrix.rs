@@ -501,6 +501,17 @@ fn stage_timeout_disposition_reaches_runlog_at_any_width() {
         let pool = Pool::new(width);
         let (_, _, log, _) =
             ffet_core::experiments::utilization_sweep(&pool, &netlist, &library, &base, &utils);
+        // A timed-out point still reports the time it spent: synth and P&R
+        // ran (P&R until the deadline), nothing downstream did.
+        for r in log.iter().filter(|r| r.attempts > 0) {
+            let ms = r.stage_ms.expect("flow rows carry stage cells");
+            assert!(
+                ms[0] > 0.0 && ms[1] > 0.0,
+                "{} at width {width}: {ms:?}",
+                r.label
+            );
+            assert_eq!(ms[2..], [0.0; 4], "{} at width {width}", r.label);
+        }
         log.iter()
             .map(|r| (r.label.clone(), r.attempts, r.disposition.clone()))
             .collect::<Vec<_>>()

@@ -6,8 +6,8 @@
 //! on-disk artifacts a prior `repro` run left in `results/`.
 
 use ffet_core::experiments::utilization_sweep;
-use ffet_core::{designs, Fault, FaultKind, FaultPlan, FlowConfig, Pool};
-use ffet_obs::{strip_timing, validate_trace, RunArtifacts};
+use ffet_core::{designs, Fault, FaultKind, FaultPlan, FlowConfig, Pool, Stage};
+use ffet_obs::{parse_point, strip_timing, validate_trace, RunArtifacts};
 use ffet_tech::{RoutingPattern, TechKind};
 
 /// The proven dual-sided configuration on the fast counter design (same
@@ -208,8 +208,10 @@ fn tracing_overhead_is_under_five_percent() {
 }
 
 /// Validates the artifacts a prior `repro` run wrote to `results/` at the
-/// repository root. Ignored by default (it needs that run to have
-/// happened); the CI observability job runs `repro` first, then this.
+/// repository root, including that every flow row of `runlog.csv` carries
+/// the `flow.<stage>` span sums of its point in `trace.jsonl`. Ignored by
+/// default (it needs that run to have happened); the CI observability job
+/// runs `repro` first, then this.
 #[test]
 #[ignore = "needs results/ from a prior repro run (CI observability job)"]
 fn on_disk_artifacts_validate() {
@@ -224,4 +226,36 @@ fn on_disk_artifacts_validate() {
     let stripped = strip_timing(&metrics).expect("parsable metrics.json");
     assert!(stripped.contains("\"merged\""));
     assert!(metrics.contains("\"timing\""));
+
+    let runlog = std::fs::read_to_string(results.join("runlog.csv"))
+        .expect("results/runlog.csv (run `repro` with a flow experiment first)");
+    let mut lines = runlog.lines();
+    assert_eq!(
+        lines.next(),
+        Some("experiment,label,index,worker,wall_ms,synth_ms,pnr_ms,merge_ms,signoff_ms,rcx_ms,sta_ms,attempts,disposition")
+    );
+    let mut flow_rows = 0;
+    for line in lines.filter(|l| !l.starts_with('#')) {
+        // Point labels carry no commas; a disposition may (it is quoted),
+        // so split off only the columns before it.
+        let cells: Vec<&str> = line.splitn(12, ',').collect();
+        assert_eq!(cells.len(), 12, "{line}");
+        if cells[5].is_empty() {
+            continue; // build, skipped and `(total)` rows run no flow
+        }
+        let point = parse_point(&trace, &format!("{}/{}", cells[0], cells[1]))
+            .unwrap_or_else(|e| panic!("{line}: no trace point: {e}"));
+        for (stage, cell) in Stage::ALL.iter().zip(&cells[5..11]) {
+            let logged: f64 = cell.parse().expect("numeric stage cell");
+            let spans = point.span_ms(&format!("flow.{}", stage.name()));
+            assert!(
+                (logged - spans).abs() <= 1e-3,
+                "{line}: {} cell {logged} vs flow.{} spans {spans}",
+                stage.name(),
+                stage.name()
+            );
+        }
+        flow_rows += 1;
+    }
+    assert!(flow_rows > 0, "runlog.csv has no flow rows");
 }

@@ -94,6 +94,11 @@ fn warm_sweep_is_byte_identical_and_skips_stages_at_any_pool_width() {
         let warm = utilization_sweep(&Pool::new(jobs), &netlist, &library, &base, &utils);
         assert_eq!(cold.0, warm.0, "max-util column diverged at jobs={jobs}");
         assert_eq!(cold.1, warm.1, "sweep reports diverged at jobs={jobs}");
+        // Every stage of a clean point replayed, so its runlog cells are
+        // the replayed spans' stored zero durations.
+        for row in warm.2.iter().filter(|r| r.disposition == "clean") {
+            assert_eq!(row.stage_ms, Some([0.0; 6]), "{} at jobs={jobs}", row.label);
+        }
 
         let warm_hits = stat_total("hit");
         let warm_misses = stat_total("miss");
