@@ -237,3 +237,66 @@ fn faulted_runs_never_touch_the_cache() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// The `(stage, blob address, bytes)` list one RV32 point stores, recorded
+/// before the codec's scalar readers and writers were rewritten at the
+/// byte level. The address is the FNV-1a hash of the payload, so an equal
+/// address with an equal length pins every payload byte.
+const RV32_PAYLOADS: [(&str, &str, u64); 6] = [
+    ("merge", "3a0ff2e4a2102d1e", 3599984),
+    ("pnr", "23e14b9f1c273b4a", 7607467),
+    ("rcx", "c26150b121591c56", 973047),
+    ("signoff", "e72e305577dd8bf6", 1739),
+    ("sta", "edfb61c0145965ba", 2754),
+    ("synth", "eaed018610e9ccc6", 664355),
+];
+
+/// One RV32 point through `run_flow` with a scratch stage cache must store
+/// exactly the pinned payload bytes. Every `FlowConfig` field is set here,
+/// so no `FFET_*` variable can reach the flow.
+#[test]
+fn rv32_stage_payloads_are_pinned() {
+    let _g = lock();
+    let root = scratch("rv32-pin");
+    let config = FlowConfig {
+        tech: TechKind::Ffet3p5t,
+        pattern: RoutingPattern::new(12, 12).expect("static"),
+        back_pin_ratio: 0.5,
+        utilization: 0.625,
+        aspect_ratio: 1.0,
+        target_freq_ghz: 1.5,
+        activity: 0.15,
+        seed: 42,
+        bridging_min_nm: None,
+        extra_reroute_rounds: 0,
+        max_attempts: 1,
+        route_jobs: 1,
+        deadline_ms: None,
+        fault_plan: FaultPlan::default(),
+        stage_cache: Some(root.clone()),
+    };
+    let library = config.build_library().expect("valid config");
+    let netlist = designs::rv32_core(&library);
+    run_flow(&netlist, &library, &config).expect("RV32 point closes");
+
+    let mut stored = Vec::new();
+    for entry in std::fs::read_dir(&root).expect("cache root exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_none_or(|e| e != "blob") {
+            continue;
+        }
+        let body = std::fs::read_to_string(&path).expect("blob is UTF-8");
+        // Every payload opens with `1 <len>:<stage> `.
+        let tag = body.split(' ').nth(1).expect("stage tag");
+        let stage = tag.split_once(':').expect("length-prefixed tag").1;
+        let addr = path.file_stem().and_then(|s| s.to_str()).expect("address");
+        stored.push((stage.to_owned(), addr.to_owned(), body.len() as u64));
+    }
+    stored.sort();
+    let want: Vec<_> = RV32_PAYLOADS
+        .iter()
+        .map(|&(stage, addr, bytes)| (stage.to_owned(), addr.to_owned(), bytes))
+        .collect();
+    assert_eq!(stored, want, "RV32 stage payload bytes drifted");
+    let _ = std::fs::remove_dir_all(&root);
+}
