@@ -252,8 +252,9 @@ impl<'a> Dec<'a> {
         let colon = self.rest.find(':')?;
         let len: usize = self.rest[..colon].parse().ok()?;
         let start = colon + 1;
-        let out = self.rest.get(start..start + len)?;
-        self.rest = self.rest.get(start + len..)?.strip_prefix(' ')?;
+        let end = start.checked_add(len)?;
+        let out = self.rest.get(start..end)?;
+        self.rest = self.rest.get(end..)?.strip_prefix(' ')?;
         Some(out)
     }
 
@@ -1739,6 +1740,17 @@ mod tests {
         assert!(d.done());
         // Wrong stage tag rejects the whole payload.
         assert!(Dec::new(&text, "other").is_none());
+    }
+
+    #[test]
+    fn oversized_string_length_is_a_miss_not_a_panic() {
+        // `start + len` used to overflow here (a panic under overflow
+        // checks, a wrapped index otherwise).
+        assert!(decode_synth("1 5:synth 18446744073709551615:abc ").is_none());
+        let mut d = Dec {
+            rest: "18446744073709551615:",
+        };
+        assert_eq!(d.s(), None);
     }
 
     #[test]
