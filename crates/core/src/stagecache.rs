@@ -29,7 +29,6 @@
 //! both outside the deterministic plane — differ.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -149,28 +148,39 @@ impl Stage {
 // the same value always encodes to the same bytes, which is what makes
 // content addressing work. Decoding is total: any malformed input yields
 // `None`, which the cache treats as a miss.
+//
+// The scalar writers and readers work on bytes: no `core::fmt` on the way
+// out, one pass per token on the way in (DESIGN §14.5). They accept exactly
+// the token forms `str::parse`/`u64::from_str_radix` accept, which the
+// `reference` oracle below pins.
 
 /// Canonical payload encoder.
 pub struct Enc {
-    buf: String,
+    buf: Vec<u8>,
 }
+
+/// Lowercase hex digit of each nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 impl Enc {
     /// Starts a payload for `stage` (version + stage tag prefix).
     #[must_use]
     pub fn new(stage: &str) -> Enc {
-        let mut e = Enc { buf: String::new() };
+        let mut e = Enc { buf: Vec::new() };
         e.u(PAYLOAD_VERSION);
         e.s(stage);
         e
     }
 
     fn u(&mut self, v: u64) {
-        let _ = write!(self.buf, "{v} ");
+        self.decimal(v, b' ');
     }
 
     fn i(&mut self, v: i64) {
-        let _ = write!(self.buf, "{v} ");
+        if v < 0 {
+            self.buf.push(b'-');
+        }
+        self.decimal(v.unsigned_abs(), b' ');
     }
 
     fn i128v(&mut self, v: i128) {
@@ -178,7 +188,12 @@ impl Enc {
     }
 
     fn f(&mut self, v: f64) {
-        let _ = write!(self.buf, "{:016x} ", v.to_bits());
+        let bits = v.to_bits();
+        let mut token = [b' '; 17];
+        for (k, slot) in token[..16].iter_mut().enumerate() {
+            *slot = HEX_DIGITS[(bits >> (60 - 4 * k) & 0xF) as usize];
+        }
+        self.buf.extend_from_slice(&token);
     }
 
     fn b(&mut self, v: bool) {
@@ -186,16 +201,91 @@ impl Enc {
     }
 
     fn s(&mut self, v: &str) {
-        let _ = write!(self.buf, "{}:", v.len());
-        self.buf.push_str(v);
-        self.buf.push(' ');
+        self.decimal(v.len() as u64, b':');
+        self.buf.extend_from_slice(v.as_bytes());
+        self.buf.push(b' ');
+    }
+
+    /// Appends `v`'s decimal digits, then `end`.
+    fn decimal(&mut self, mut v: u64, end: u8) {
+        let mut token = [end; 21];
+        let mut start = 20;
+        loop {
+            start -= 1;
+            token[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.buf.extend_from_slice(&token[start..]);
     }
 
     /// The finished payload body.
     #[must_use]
     pub fn finish(self) -> String {
-        self.buf
+        // Every byte is ASCII or copied from a `&str`, so the lossy
+        // fallback is never taken.
+        String::from_utf8(self.buf)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
+}
+
+/// Parses `bytes[from..]` up to the first `stop` byte as an unsigned
+/// number in `radix`: at least one digit, nothing else, no `u64`
+/// overflow. Returns the value and the index of `stop`.
+fn digits(bytes: &[u8], from: usize, stop: u8, radix: u32) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    let mut at = from;
+    loop {
+        let b = *bytes.get(at)?;
+        if b == stop {
+            break;
+        }
+        let digit = char::from(b).to_digit(radix)?;
+        value = value
+            .checked_mul(u64::from(radix))?
+            .checked_add(u64::from(digit))?;
+        at += 1;
+    }
+    (at > from).then_some((value, at))
+}
+
+/// The index after an optional leading `+`, where a number's digits start.
+fn after_plus(bytes: &[u8]) -> usize {
+    usize::from(bytes.first() == Some(&b'+'))
+}
+
+/// The canonical float token: exactly 16 lowercase hex digits and a
+/// space. Decodes eight digits at a time; any other form is left to
+/// [`digits`].
+fn hex16(token: &[u8; 17]) -> Option<u64> {
+    let (hi, rest) = token.split_first_chunk::<8>()?;
+    let (lo, end) = rest.split_first_chunk::<8>()?;
+    if end != b" " {
+        return None;
+    }
+    Some(hex8(u64::from_be_bytes(*hi))? << 32 | hex8(u64::from_be_bytes(*lo))?)
+}
+
+/// The value of eight lowercase ASCII hex digits packed big-endian in
+/// `x`, or `None` if any byte is not one.
+fn hex8(x: u64) -> Option<u64> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = ONES * 0x80;
+    // In a byte below 0x80, adding `0x80 - lo` sets the top bit iff the
+    // byte is at least `lo`, and never carries into the next byte.
+    let at_least = |v: u64, lo: u8| v.wrapping_add(ONES * u64::from(0x80 - lo)) & HIGH;
+    let digit = at_least(x, b'0') & !at_least(x, b'9' + 1);
+    let letter = at_least(x, b'a') & !at_least(x, b'f' + 1);
+    if x & HIGH != 0 || digit | letter != HIGH {
+        return None;
+    }
+    // A digit's value is its low nibble; a letter (bit 6 set) adds 9.
+    let mut v = (x & (ONES * 0x0F)) + ((x >> 6) & ONES) * 9;
+    v = (v | v >> 4) & 0x00FF_00FF_00FF_00FF;
+    v = (v | v >> 8) & 0x0000_FFFF_0000_FFFF;
+    Some((v | v >> 16) & 0xFFFF_FFFF)
 }
 
 /// Canonical payload decoder; every reader returns `None` on malformed
@@ -215,6 +305,12 @@ impl<'a> Dec<'a> {
         Some(d)
     }
 
+    /// Consumes the input through the terminator at byte index `stop`.
+    fn skip_past(&mut self, stop: usize) -> Option<()> {
+        self.rest = self.rest.get(stop + 1..)?;
+        Some(())
+    }
+
     fn token(&mut self) -> Option<&'a str> {
         let sp = self.rest.find(' ')?;
         let tok = &self.rest[..sp];
@@ -223,11 +319,24 @@ impl<'a> Dec<'a> {
     }
 
     fn u(&mut self) -> Option<u64> {
-        self.token()?.parse().ok()
+        let bytes = self.rest.as_bytes();
+        let (v, stop) = digits(bytes, after_plus(bytes), b' ', 10)?;
+        self.skip_past(stop)?;
+        Some(v)
     }
 
     fn i(&mut self) -> Option<i64> {
-        self.token()?.parse().ok()
+        let bytes = self.rest.as_bytes();
+        let negative = bytes.first() == Some(&b'-');
+        let from = if negative { 1 } else { after_plus(bytes) };
+        let (magnitude, stop) = digits(bytes, from, b' ', 10)?;
+        let v = if negative {
+            0i64.checked_sub_unsigned(magnitude)?
+        } else {
+            i64::try_from(magnitude).ok()?
+        };
+        self.skip_past(stop)?;
+        Some(v)
     }
 
     fn i128v(&mut self) -> Option<i128> {
@@ -235,9 +344,13 @@ impl<'a> Dec<'a> {
     }
 
     fn f(&mut self) -> Option<f64> {
-        u64::from_str_radix(self.token()?, 16)
-            .ok()
-            .map(f64::from_bits)
+        let bytes = self.rest.as_bytes();
+        let (bits, stop) = match bytes.first_chunk::<17>().and_then(hex16) {
+            Some(bits) => (bits, 16),
+            None => digits(bytes, after_plus(bytes), b' ', 16)?,
+        };
+        self.skip_past(stop)?;
+        Some(f64::from_bits(bits))
     }
 
     fn b(&mut self) -> Option<bool> {
@@ -249,12 +362,15 @@ impl<'a> Dec<'a> {
     }
 
     fn s(&mut self) -> Option<&'a str> {
-        let colon = self.rest.find(':')?;
-        let len: usize = self.rest[..colon].parse().ok()?;
+        let bytes = self.rest.as_bytes();
+        let (len, colon) = digits(bytes, after_plus(bytes), b':', 10)?;
         let start = colon + 1;
-        let end = start.checked_add(len)?;
+        let end = start.checked_add(usize::try_from(len).ok()?)?;
+        if bytes.get(end) != Some(&b' ') {
+            return None;
+        }
         let out = self.rest.get(start..end)?;
-        self.rest = self.rest.get(end..)?.strip_prefix(' ')?;
+        self.skip_past(end)?;
         Some(out)
     }
 
@@ -1689,9 +1805,100 @@ pub fn run_stage<T, E>(
     Ok((value, addr))
 }
 
+/// The scalar writers and readers as they were before the byte-level
+/// rewrite — `write!` out, `find` + `str::parse`/`from_str_radix` in —
+/// kept verbatim (with the `checked_add` fix in `s`) as the differential
+/// oracle for [`Enc`] and [`Dec`].
+#[cfg(test)]
+mod reference {
+    use std::fmt::Write as _;
+
+    pub(super) struct Enc {
+        pub(super) buf: String,
+    }
+
+    impl Enc {
+        pub(super) fn u(&mut self, v: u64) {
+            let _ = write!(self.buf, "{v} ");
+        }
+
+        pub(super) fn i(&mut self, v: i64) {
+            let _ = write!(self.buf, "{v} ");
+        }
+
+        pub(super) fn i128v(&mut self, v: i128) {
+            let _ = write!(self.buf, "{v} ");
+        }
+
+        pub(super) fn f(&mut self, v: f64) {
+            let _ = write!(self.buf, "{:016x} ", v.to_bits());
+        }
+
+        pub(super) fn b(&mut self, v: bool) {
+            self.u(u64::from(v));
+        }
+
+        pub(super) fn s(&mut self, v: &str) {
+            let _ = write!(self.buf, "{}:", v.len());
+            self.buf.push_str(v);
+            self.buf.push(' ');
+        }
+    }
+
+    pub(super) struct Dec<'a> {
+        pub(super) rest: &'a str,
+    }
+
+    impl<'a> Dec<'a> {
+        fn token(&mut self) -> Option<&'a str> {
+            let sp = self.rest.find(' ')?;
+            let tok = &self.rest[..sp];
+            self.rest = &self.rest[sp + 1..];
+            Some(tok)
+        }
+
+        pub(super) fn u(&mut self) -> Option<u64> {
+            self.token()?.parse().ok()
+        }
+
+        pub(super) fn i(&mut self) -> Option<i64> {
+            self.token()?.parse().ok()
+        }
+
+        pub(super) fn i128v(&mut self) -> Option<i128> {
+            self.token()?.parse().ok()
+        }
+
+        pub(super) fn f(&mut self) -> Option<f64> {
+            u64::from_str_radix(self.token()?, 16)
+                .ok()
+                .map(f64::from_bits)
+        }
+
+        pub(super) fn b(&mut self) -> Option<bool> {
+            match self.u()? {
+                0 => Some(false),
+                1 => Some(true),
+                _ => None,
+            }
+        }
+
+        pub(super) fn s(&mut self) -> Option<&'a str> {
+            let colon = self.rest.find(':')?;
+            let len: usize = self.rest[..colon].parse().ok()?;
+            let start = colon + 1;
+            let end = start.checked_add(len)?;
+            let out = self.rest.get(start..end)?;
+            self.rest = self.rest.get(end..)?.strip_prefix(' ')?;
+            Some(out)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffet_geom::Rng64;
     use ffet_tech::TechKind;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -1740,6 +1947,379 @@ mod tests {
         assert!(d.done());
         // Wrong stage tag rejects the whole payload.
         assert!(Dec::new(&text, "other").is_none());
+    }
+
+    /// A scalar reader, called on both decoders by the differential tests.
+    #[derive(Debug, Clone, Copy)]
+    enum Read {
+        U,
+        I,
+        I128,
+        F,
+        B,
+        S,
+    }
+
+    const READS: [Read; 6] = [Read::U, Read::I, Read::I128, Read::F, Read::B, Read::S];
+
+    /// The reader a canonical payload calls next, guessed from the token's
+    /// shape: `N:` opens a string, 16 characters are a float, a leading
+    /// `-` is a signed integer, anything else an unsigned one.
+    fn read_for(rest: &str) -> Read {
+        let end = rest.find([' ', ':']).unwrap_or(rest.len());
+        if rest.as_bytes().get(end) == Some(&b':') {
+            Read::S
+        } else if end == 16 {
+            Read::F
+        } else if rest.starts_with('-') {
+            Read::I
+        } else {
+            Read::U
+        }
+    }
+
+    /// Calls `read` on both decoders; both must return the same value.
+    /// `None` ends the comparison (an aborted decode never looks at `rest`
+    /// again), otherwise both must leave the same `rest`.
+    fn same_read(new: &mut Dec<'_>, old: &mut reference::Dec<'_>, read: Read) -> bool {
+        let show = |v: &dyn std::fmt::Debug| format!("{v:?}");
+        let (a, b) = match read {
+            Read::U => (new.u().map(|v| show(&v)), old.u().map(|v| show(&v))),
+            Read::I => (new.i().map(|v| show(&v)), old.i().map(|v| show(&v))),
+            Read::I128 => (new.i128v().map(|v| show(&v)), old.i128v().map(|v| show(&v))),
+            Read::F => (
+                new.f().map(|v| show(&v.to_bits())),
+                old.f().map(|v| show(&v.to_bits())),
+            ),
+            Read::B => (new.b().map(|v| show(&v)), old.b().map(|v| show(&v))),
+            Read::S => (new.s().map(|v| show(&v)), old.s().map(|v| show(&v))),
+        };
+        assert_eq!(a, b, "{read:?} diverged");
+        if a.is_some() {
+            assert_eq!(new.rest, old.rest, "{read:?} left a different rest");
+        }
+        a.is_some()
+    }
+
+    /// Up to `calls` reads on both decoders over `text`: the guessed
+    /// reader, except that one read in `random_one_in` (none if 0) is
+    /// drawn at random. Returns the bytes left unread.
+    fn differential_walk(text: &str, rng: &mut Rng64, calls: usize, random_one_in: u64) -> usize {
+        let mut new = Dec { rest: text };
+        let mut old = reference::Dec { rest: text };
+        for _ in 0..calls {
+            let read = if random_one_in > 0 && rng.next_u64().is_multiple_of(random_one_in) {
+                READS[rng.range_usize(0, READS.len())]
+            } else {
+                read_for(new.rest)
+            };
+            if !same_read(&mut new, &mut old, read) {
+                break;
+            }
+        }
+        new.rest.len()
+    }
+
+    /// The six stage payloads of one counter flow, read back from the
+    /// scratch cache `tag`, in stage-name order.
+    fn counter_payloads(tag: &str) -> Vec<(String, String)> {
+        let dir = scratch(tag);
+        let (mut config, library, netlist) = small_flow_pieces();
+        config.stage_cache = Some(dir.clone());
+        crate::run_flow(&netlist, &library, &config).expect("flow");
+        let mut out = Vec::new();
+        for entry in fs::read_dir(&dir).expect("cache root") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|e| e == "blob") {
+                let body = fs::read_to_string(&path).expect("blob");
+                let mut d = Dec { rest: &body };
+                d.u();
+                let stage = d.s().expect("stage tag").to_owned();
+                out.push((stage, body));
+            }
+        }
+        out.sort();
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(out.len(), Stage::ALL.len(), "one payload per stage");
+        out
+    }
+
+    fn decode_any(stage: &str, text: &str) -> bool {
+        match stage {
+            "synth" => decode_synth(text).is_some(),
+            "pnr" => decode_pnr(text).is_some(),
+            "merge" => decode_merge(text).is_some(),
+            "signoff" => decode_signoff_payload(text).is_some(),
+            "rcx" => decode_rcx(text).is_some(),
+            "sta" => decode_sta(text).is_some(),
+            other => panic!("unknown stage {other}"),
+        }
+    }
+
+    #[test]
+    fn writers_match_the_reference_on_edge_cases() {
+        let mut new = Enc { buf: Vec::new() };
+        let mut old = reference::Enc { buf: String::new() };
+        for v in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            10u64.pow(19) - 1,
+            10u64.pow(19),
+            u64::MAX,
+        ] {
+            new.u(v);
+            old.u(v);
+        }
+        for v in [0, -1, 1, -10, i64::MIN, i64::MIN + 1, i64::MAX] {
+            new.i(v);
+            old.i(v);
+        }
+        for v in [0, -1, i128::MIN, i128::MAX] {
+            new.i128v(v);
+            old.i128v(v);
+        }
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.5,
+            f64::from_bits(0x7ff8_0000_dead_beef), // NaN with payload bits
+            f64::from_bits(0xfff0_0000_0000_0001), // negative signalling NaN
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for v in floats {
+            new.f(v);
+            old.f(v);
+        }
+        for v in [true, false] {
+            new.b(v);
+            old.b(v);
+        }
+        for v in [
+            "",
+            "é",
+            "日本語",
+            "a b",
+            "a:b",
+            "12",
+            "3:x ",
+            "🦀 : 7 ",
+            " ",
+            ":",
+        ] {
+            new.s(v);
+            old.s(v);
+        }
+        let mut rng = Rng64::new(0x5eed_c0de);
+        for _ in 0..20_000 {
+            let bits = rng.next_u64() >> rng.range_usize(0, 64);
+            new.u(bits);
+            old.u(bits);
+            new.i(bits as i64);
+            old.i(bits as i64);
+            let x = f64::from_bits(rng.next_u64());
+            new.f(x);
+            old.f(x);
+        }
+        assert_eq!(new.finish(), old.buf);
+    }
+
+    #[test]
+    fn writers_match_the_reference_on_real_payloads() {
+        for (stage, payload) in counter_payloads("writer-payloads") {
+            // Re-emit every token through both writers, reading it with
+            // the reader its shape names.
+            let mut new = Enc { buf: Vec::new() };
+            let mut old = reference::Enc { buf: String::new() };
+            let mut d = Dec { rest: &payload };
+            while !d.done() {
+                match read_for(d.rest) {
+                    Read::S => {
+                        let v = d.s().expect("string token");
+                        new.s(v);
+                        old.s(v);
+                    }
+                    Read::F => {
+                        let v = d.f().expect("float token");
+                        new.f(v);
+                        old.f(v);
+                    }
+                    Read::I => {
+                        let v = d.i().expect("signed token");
+                        new.i(v);
+                        old.i(v);
+                    }
+                    _ => {
+                        let v = d.u().expect("unsigned token");
+                        new.u(v);
+                        old.u(v);
+                    }
+                }
+            }
+            let new = new.finish();
+            assert_eq!(new, old.buf, "{stage}: writers diverged");
+            assert_eq!(new, payload, "{stage}: re-emitted payload drifted");
+        }
+    }
+
+    /// Random short token strings over the forms the readers must agree
+    /// on: signs, leading zeros, both hex cases, overflow edges, stray
+    /// separators and multibyte characters.
+    fn random_tokens(rng: &mut Rng64) -> String {
+        const PIECES: &[&str] = &[
+            "0",
+            "1",
+            "7",
+            "42",
+            "00",
+            "+",
+            "-",
+            "+-",
+            "-+",
+            " ",
+            " ",
+            ":",
+            "0000000000000000",
+            "3ff0000000000000",
+            "3FF0000000000000",
+            "3fF0000000000000",
+            "7ff8000000000001",
+            "ffffffffffffffff",
+            "10000000000000000",
+            "0ffffffffffffffff",
+            "18446744073709551615",
+            "18446744073709551616",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "170141183460469231731687303715884105728",
+            "abc",
+            "g",
+            "é",
+            "∞",
+            "3:a b",
+            "5:synth",
+            "0:",
+            "1:",
+            "\u{0}",
+        ];
+        let mut out = String::new();
+        for _ in 0..rng.range_usize(1, 8) {
+            out.push_str(PIECES[rng.range_usize(0, PIECES.len())]);
+        }
+        if !rng.next_u64().is_multiple_of(4) {
+            out.push(' ');
+        }
+        out
+    }
+
+    /// Token starts of `text`: 0, and every index inside it after a space.
+    fn token_starts(text: &str) -> Vec<usize> {
+        let after_spaces = text.match_indices(' ').map(|(i, _)| i + 1);
+        std::iter::once(0)
+            .chain(after_spaces.filter(|&i| i < text.len()))
+            .collect()
+    }
+
+    /// One mutation of `text` at a random place. Flips, truncations and
+    /// splices damage bytes anywhere (then repaired to UTF-8, which brings
+    /// multibyte replacement characters); token edits either stay inside
+    /// what the old parsers accept (a `+`, leading zeros, uppercase or
+    /// short hex) or step just outside it (overflowing digits, a `-` on an
+    /// unsigned token, `+-`). Returns the text and the damaged index.
+    fn mutate(text: &str, donor: &str, rng: &mut Rng64) -> (String, usize) {
+        let mut bytes = text.as_bytes().to_vec();
+        let starts = token_starts(text);
+        let at = starts[rng.range_usize(0, starts.len())];
+        let end = text[at..].find(' ').map_or(text.len(), |i| at + i);
+        let pos = rng.range_usize(0, bytes.len());
+        let (bytes, damaged) = match rng.range_usize(0, 10) {
+            0 => {
+                bytes[pos] = rng.next_u64() as u8;
+                (bytes, pos)
+            }
+            1 => {
+                bytes.truncate(pos);
+                (bytes, pos)
+            }
+            2 => {
+                let from = rng.range_usize(0, donor.len());
+                let to = (from + rng.range_usize(1, 64)).min(donor.len());
+                bytes.splice(pos..pos, donor.as_bytes()[from..to].iter().copied());
+                (bytes, pos)
+            }
+            3 => {
+                bytes.insert(at, b'+');
+                (bytes, at)
+            }
+            4 => {
+                bytes.splice(at..at, *b"000");
+                (bytes, at)
+            }
+            5 => {
+                bytes[at..end].make_ascii_uppercase();
+                (bytes, at)
+            }
+            6 => {
+                // Short hex: drop the token's leading zeros, or its first digit.
+                let zeros = bytes[at..end].iter().take_while(|&&b| b == b'0').count();
+                bytes.drain(at..at + zeros.max(1).min(end - at));
+                (bytes, at)
+            }
+            7 => {
+                bytes.splice(at..at, *b"99999999999999999999");
+                (bytes, at)
+            }
+            8 => {
+                bytes.insert(at, b'-');
+                (bytes, at)
+            }
+            _ => {
+                bytes.splice(at..at, *b"+-");
+                (bytes, at)
+            }
+        };
+        (String::from_utf8_lossy(&bytes).into_owned(), damaged)
+    }
+
+    #[test]
+    fn readers_match_the_reference_on_a_mutation_corpus() {
+        let payloads = counter_payloads("reader-payloads");
+        let mut rng = Rng64::new(0xdec0_de00);
+        // Every real token, read by the reader its shape names.
+        for (stage, payload) in &payloads {
+            let left = differential_walk(payload, &mut rng, usize::MAX, 0);
+            assert_eq!(left, 0, "{stage}: guided walk stopped early");
+        }
+        // Random short token strings, random readers from the start.
+        for _ in 0..40_000 {
+            let text = random_tokens(&mut rng);
+            differential_walk(&text, &mut rng, 16, 1);
+        }
+        // Mutated payloads: walk from a few tokens before the damage, and
+        // the stage's whole-payload decoder must return without panicking.
+        for round in 0..3_000 {
+            let (stage, payload) = &payloads[round % payloads.len()];
+            let donor = &payloads[rng.range_usize(0, payloads.len())].1;
+            let (text, damaged) = mutate(payload, donor, &mut rng);
+            let before: Vec<usize> = token_starts(&text)
+                .into_iter()
+                .filter(|&i| i <= damaged)
+                .collect();
+            let start = before[before.len().saturating_sub(rng.range_usize(1, 9))];
+            differential_walk(&text[start..], &mut rng, 400, 8);
+            let _ = decode_any(stage, &text);
+        }
     }
 
     #[test]
