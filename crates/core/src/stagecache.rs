@@ -151,8 +151,8 @@ impl Stage {
 //
 // The scalar writers and readers work on bytes: no `core::fmt` on the way
 // out, one pass per token on the way in (DESIGN §14.5). They accept exactly
-// the token forms `str::parse`/`u64::from_str_radix` accept, which the
-// `reference` oracle below pins.
+// the token forms `str::parse`/`u64::from_str_radix` accept; the tests
+// against the `reference` oracle at the end of this file pin that.
 
 /// Canonical payload encoder.
 pub struct Enc {
@@ -2033,7 +2033,7 @@ mod tests {
             if path.extension().is_some_and(|e| e == "blob") {
                 let body = fs::read_to_string(&path).expect("blob");
                 let mut d = Dec { rest: &body };
-                d.u();
+                let _version = d.u();
                 let stage = d.s().expect("stage tag").to_owned();
                 out.push((stage, body));
             }
@@ -2044,7 +2044,8 @@ mod tests {
         out
     }
 
-    fn decode_any(stage: &str, text: &str) -> bool {
+    /// Whether `stage`'s whole-payload decoder accepts `text`.
+    fn decodes(stage: &str, text: &str) -> bool {
         match stage {
             "synth" => decode_synth(text).is_some(),
             "pnr" => decode_pnr(text).is_some(),
@@ -2318,14 +2319,15 @@ mod tests {
                 .collect();
             let start = before[before.len().saturating_sub(rng.range_usize(1, 9))];
             differential_walk(&text[start..], &mut rng, 400, 8);
-            let _ = decode_any(stage, &text);
+            // Either answer is fine; a panic is not.
+            let _ = decodes(stage, &text);
         }
     }
 
     #[test]
     fn oversized_string_length_is_a_miss_not_a_panic() {
-        // `start + len` used to overflow here (a panic under overflow
-        // checks, a wrapped index otherwise).
+        // A length near `usize::MAX` must not overflow `start + len`: that
+        // panics under overflow checks and wraps the index otherwise.
         assert!(decode_synth("1 5:synth 18446744073709551615:abc ").is_none());
         let mut d = Dec {
             rest: "18446744073709551615:",
