@@ -28,7 +28,7 @@
 //! provenance) and the process-global [`ffet_obs::cache_stats`] registry —
 //! both outside the deterministic plane — differ.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -36,6 +36,7 @@ use std::sync::Mutex;
 
 use crate::ckpt::{atomic_write_unique, fnv1a64, hash_hex};
 use crate::flow::FlowConfig;
+use ffet_cells::CellId;
 use ffet_geom::{Orientation, Point, Rect};
 use ffet_lefdef::{Def, DefComponent, DefConnection, DefNet, DefSpecialNet, DefVia, DefWire};
 use ffet_netlist::{InstId, Instance, Net, NetId, Netlist, PinRef, Port, PortDirection};
@@ -153,9 +154,13 @@ impl Stage {
 // out, one pass per token on the way in (DESIGN §14.5). They accept exactly
 // the token forms `str::parse`/`u64::from_str_radix` accept; the tests
 // against the `reference` oracle at the end of this file pin that.
+//
+// Above the scalars, every payload type implements [`Codec`] once: its
+// `enc` and `dec` walk the same token order, so a type's payload grammar is
+// written in one place (DESIGN §14.2).
 
 /// Canonical payload encoder.
-pub struct Enc {
+struct Enc {
     buf: Vec<u8>,
 }
 
@@ -164,18 +169,19 @@ const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 impl Enc {
     /// Starts a payload for `stage` (version + stage tag prefix).
-    #[must_use]
-    pub fn new(stage: &str) -> Enc {
+    fn new(stage: &str) -> Enc {
         let mut e = Enc { buf: Vec::new() };
         e.u(PAYLOAD_VERSION);
         e.s(stage);
         e
     }
 
+    #[inline(always)]
     fn u(&mut self, v: u64) {
         self.decimal(v, b' ');
     }
 
+    #[inline(always)]
     fn i(&mut self, v: i64) {
         if v < 0 {
             self.buf.push(b'-');
@@ -187,6 +193,7 @@ impl Enc {
         let _ = write!(self.buf, "{v} ");
     }
 
+    #[inline(always)]
     fn f(&mut self, v: f64) {
         let bits = v.to_bits();
         let mut token = [b' '; 17];
@@ -196,10 +203,12 @@ impl Enc {
         self.buf.extend_from_slice(&token);
     }
 
+    #[inline(always)]
     fn b(&mut self, v: bool) {
         self.u(u64::from(v));
     }
 
+    #[inline(always)]
     fn s(&mut self, v: &str) {
         self.decimal(v.len() as u64, b':');
         self.buf.extend_from_slice(v.as_bytes());
@@ -207,6 +216,7 @@ impl Enc {
     }
 
     /// Appends `v`'s decimal digits, then `end`.
+    #[inline(always)]
     fn decimal(&mut self, mut v: u64, end: u8) {
         let mut token = [end; 21];
         let mut start = 20;
@@ -222,8 +232,7 @@ impl Enc {
     }
 
     /// The finished payload body.
-    #[must_use]
-    pub fn finish(self) -> String {
+    fn finish(self) -> String {
         // Every byte is ASCII or copied from a `&str`, so the lossy
         // fallback is never taken.
         String::from_utf8(self.buf)
@@ -290,14 +299,13 @@ fn hex8(x: u64) -> Option<u64> {
 
 /// Canonical payload decoder; every reader returns `None` on malformed
 /// input (the caller treats the payload as a miss).
-pub struct Dec<'a> {
+struct Dec<'a> {
     rest: &'a str,
 }
 
 impl<'a> Dec<'a> {
     /// Opens a payload, validating the version + stage tag prefix.
-    #[must_use]
-    pub fn new(text: &'a str, stage: &str) -> Option<Dec<'a>> {
+    fn new(text: &'a str, stage: &str) -> Option<Dec<'a>> {
         let mut d = Dec { rest: text };
         if d.u()? != PAYLOAD_VERSION || d.s()? != stage {
             return None;
@@ -306,6 +314,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Consumes the input through the terminator at byte index `stop`.
+    #[inline(always)]
     fn skip_past(&mut self, stop: usize) -> Option<()> {
         self.rest = self.rest.get(stop + 1..)?;
         Some(())
@@ -318,6 +327,7 @@ impl<'a> Dec<'a> {
         Some(tok)
     }
 
+    #[inline(always)]
     fn u(&mut self) -> Option<u64> {
         let bytes = self.rest.as_bytes();
         let (v, stop) = digits(bytes, after_plus(bytes), b' ', 10)?;
@@ -325,6 +335,7 @@ impl<'a> Dec<'a> {
         Some(v)
     }
 
+    #[inline(always)]
     fn i(&mut self) -> Option<i64> {
         let bytes = self.rest.as_bytes();
         let negative = bytes.first() == Some(&b'-');
@@ -343,6 +354,7 @@ impl<'a> Dec<'a> {
         self.token()?.parse().ok()
     }
 
+    #[inline(always)]
     fn f(&mut self) -> Option<f64> {
         let bytes = self.rest.as_bytes();
         let (bits, stop) = match bytes.first_chunk::<17>().and_then(hex16) {
@@ -353,6 +365,7 @@ impl<'a> Dec<'a> {
         Some(f64::from_bits(bits))
     }
 
+    #[inline(always)]
     fn b(&mut self) -> Option<bool> {
         match self.u()? {
             0 => Some(false),
@@ -361,6 +374,7 @@ impl<'a> Dec<'a> {
         }
     }
 
+    #[inline(always)]
     fn s(&mut self) -> Option<&'a str> {
         let bytes = self.rest.as_bytes();
         let (len, colon) = digits(bytes, after_plus(bytes), b':', 10)?;
@@ -377,943 +391,486 @@ impl<'a> Dec<'a> {
     /// Element count for a sequence, bounded by the remaining input (every
     /// element is at least two bytes) so a corrupt length cannot drive a
     /// pathological allocation.
+    #[inline(always)]
     fn len(&mut self) -> Option<usize> {
         let n = usize::try_from(self.u()?).ok()?;
         (n <= self.rest.len()).then_some(n)
     }
 
-    fn usz(&mut self) -> Option<usize> {
-        usize::try_from(self.u()?).ok()
-    }
-
-    fn u32v(&mut self) -> Option<u32> {
-        u32::try_from(self.u()?).ok()
-    }
-
     /// True once the payload is fully consumed (trailing garbage → reject).
-    #[must_use]
-    pub fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.rest.is_empty()
     }
 }
 
-// --- geometry / id leaves ---
+/// A payload type: `enc` writes its tokens and `dec` reads them back in
+/// the same order, returning `None` on anything `enc` could not have
+/// written.
+trait Codec {
+    fn enc(&self, e: &mut Enc);
 
-fn enc_point(e: &mut Enc, p: Point) {
-    e.i(p.x);
-    e.i(p.y);
+    fn dec(d: &mut Dec<'_>) -> Option<Self>
+    where
+        Self: Sized;
 }
 
-fn dec_point(d: &mut Dec<'_>) -> Option<Point> {
-    Some(Point {
-        x: d.i()?,
-        y: d.i()?,
-    })
-}
+/// Scalars that are one token each, through the `Enc`/`Dec` method named.
+macro_rules! scalar_codec {
+    ($($ty:ty => $method:ident),+) => {$(
+        impl Codec for $ty {
+            #[inline(always)]
+            fn enc(&self, e: &mut Enc) {
+                e.$method(*self);
+            }
 
-fn enc_rect(e: &mut Enc, r: Rect) {
-    enc_point(e, r.lo);
-    enc_point(e, r.hi);
-}
-
-fn dec_rect(d: &mut Dec<'_>) -> Option<Rect> {
-    Some(Rect {
-        lo: dec_point(d)?,
-        hi: dec_point(d)?,
-    })
-}
-
-fn enc_orient(e: &mut Enc, o: Orientation) {
-    e.b(o == Orientation::FlippedSouth);
-}
-
-fn dec_orient(d: &mut Dec<'_>) -> Option<Orientation> {
-    Some(if d.b()? {
-        Orientation::FlippedSouth
-    } else {
-        Orientation::North
-    })
-}
-
-fn enc_layer(e: &mut Enc, l: LayerId) {
-    e.b(l.side == Side::Back);
-    e.u(u64::from(l.index));
-}
-
-fn dec_layer(d: &mut Dec<'_>) -> Option<LayerId> {
-    let side = if d.b()? { Side::Back } else { Side::Front };
-    Some(LayerId {
-        side,
-        index: u8::try_from(d.u()?).ok()?,
-    })
-}
-
-fn enc_pinref(e: &mut Enc, p: PinRef) {
-    e.u(u64::from(p.inst.0));
-    e.u(p.pin as u64);
-}
-
-fn dec_pinref(d: &mut Dec<'_>) -> Option<PinRef> {
-    Some(PinRef {
-        inst: InstId(d.u32v()?),
-        pin: d.usz()?,
-    })
-}
-
-// --- netlist ---
-
-fn enc_netlist(e: &mut Enc, nl: &Netlist) {
-    e.s(nl.name());
-    e.u(nl.instances().len() as u64);
-    for inst in nl.instances() {
-        e.s(&inst.name);
-        e.u(u64::from(inst.cell.0));
-        e.u(inst.conns.len() as u64);
-        for conn in &inst.conns {
-            match conn {
-                Some(net) => {
-                    e.b(true);
-                    e.u(u64::from(net.0));
-                }
-                None => e.b(false),
+            #[inline(always)]
+            fn dec(d: &mut Dec<'_>) -> Option<Self> {
+                d.$method()
             }
         }
-        e.b(inst.fixed);
-    }
-    e.u(nl.nets().len() as u64);
-    for net in nl.nets() {
-        e.s(&net.name);
-        match net.driver {
-            Some(p) => {
-                e.b(true);
-                enc_pinref(e, p);
+    )+};
+}
+
+scalar_codec!(u64 => u, i64 => i, i128 => i128v, f64 => f, bool => b);
+
+/// Narrower unsigned integers: one `u` token, range-checked on the way in.
+macro_rules! narrow_codec {
+    ($($ty:ty),+) => {$(
+        impl Codec for $ty {
+            #[inline(always)]
+            fn enc(&self, e: &mut Enc) {
+                e.u(*self as u64);
             }
-            None => e.b(false),
+
+            #[inline(always)]
+            fn dec(d: &mut Dec<'_>) -> Option<Self> {
+                Self::try_from(d.u()?).ok()
+            }
         }
-        e.u(net.sinks.len() as u64);
-        for &s in &net.sinks {
-            enc_pinref(e, s);
+    )+};
+}
+
+narrow_codec!(u8, u16, u32, usize);
+
+/// Id newtypes: their `u32`.
+macro_rules! id_codec {
+    ($($ty:ident),+) => {$(
+        impl Codec for $ty {
+            #[inline(always)]
+            fn enc(&self, e: &mut Enc) {
+                self.0.enc(e);
+            }
+
+            #[inline(always)]
+            fn dec(d: &mut Dec<'_>) -> Option<Self> {
+                u32::dec(d).map($ty)
+            }
         }
-        e.b(net.is_clock);
-    }
-    e.u(nl.ports().len() as u64);
-    for port in nl.ports() {
-        e.s(&port.name);
-        e.b(port.direction == PortDirection::Output);
-        e.u(u64::from(port.net.0));
+    )+};
+}
+
+id_codec!(InstId, NetId, CellId);
+
+/// Two-variant enums: one flag token, set for the first variant named.
+macro_rules! flag_codec {
+    ($($ty:ident: $set:ident | $clear:ident),+) => {$(
+        impl Codec for $ty {
+            #[inline(always)]
+            fn enc(&self, e: &mut Enc) {
+                e.b(*self == $ty::$set);
+            }
+
+            #[inline(always)]
+            fn dec(d: &mut Dec<'_>) -> Option<Self> {
+                Some(if d.b()? { $ty::$set } else { $ty::$clear })
+            }
+        }
+    )+};
+}
+
+flag_codec!(
+    Orientation: FlippedSouth | North,
+    Side: Back | Front,
+    PortDirection: Output | Input,
+    Severity: Error | Warning
+);
+
+impl Codec for str {
+    #[inline(always)]
+    fn enc(&self, e: &mut Enc) {
+        e.s(self);
     }
 }
 
-fn dec_netlist(d: &mut Dec<'_>) -> Option<Netlist> {
-    let name = d.s()?.to_owned();
-    let mut instances = Vec::with_capacity(d.len()?);
-    for _ in 0..instances.capacity() {
-        let iname = d.s()?.to_owned();
-        let cell = ffet_cells::CellId(d.u32v()?);
-        let mut conns = Vec::with_capacity(d.len()?);
-        for _ in 0..conns.capacity() {
-            conns.push(if d.b()? { Some(NetId(d.u32v()?)) } else { None });
-        }
-        instances.push(Instance {
-            name: iname,
-            cell,
-            conns,
-            fixed: d.b()?,
-        });
+impl Codec for String {
+    #[inline(always)]
+    fn enc(&self, e: &mut Enc) {
+        e.s(self);
     }
-    let mut nets = Vec::with_capacity(d.len()?);
-    for _ in 0..nets.capacity() {
-        let nname = d.s()?.to_owned();
-        let driver = if d.b()? { Some(dec_pinref(d)?) } else { None };
-        let mut sinks = Vec::with_capacity(d.len()?);
-        for _ in 0..sinks.capacity() {
-            sinks.push(dec_pinref(d)?);
-        }
-        nets.push(Net {
-            name: nname,
-            driver,
-            sinks,
-            is_clock: d.b()?,
-        });
-    }
-    let mut ports = Vec::with_capacity(d.len()?);
-    for _ in 0..ports.capacity() {
-        let pname = d.s()?.to_owned();
-        let direction = if d.b()? {
-            PortDirection::Output
-        } else {
-            PortDirection::Input
-        };
-        ports.push(Port {
-            name: pname,
-            direction,
-            net: NetId(d.u32v()?),
-        });
-    }
-    Netlist::from_parts(name, instances, nets, ports).ok()
-}
 
-// --- DEF ---
-
-fn enc_def(e: &mut Enc, def: &Def) {
-    e.s(&def.design);
-    e.i(def.dbu_per_micron);
-    enc_rect(e, def.die);
-    e.u(def.components.len() as u64);
-    for c in &def.components {
-        e.s(&c.name);
-        e.s(&c.macro_name);
-        enc_point(e, c.origin);
-        enc_orient(e, c.orient);
-        e.b(c.fixed);
-    }
-    e.u(def.nets.len() as u64);
-    for n in &def.nets {
-        e.s(&n.name);
-        e.u(n.connections.len() as u64);
-        for conn in &n.connections {
-            e.s(&conn.instance);
-            e.s(&conn.pin);
-        }
-        e.u(n.wires.len() as u64);
-        for w in &n.wires {
-            enc_layer(e, w.layer);
-            enc_point(e, w.from);
-            enc_point(e, w.to);
-        }
-        e.u(n.vias.len() as u64);
-        for v in &n.vias {
-            enc_point(e, v.at);
-            enc_layer(e, v.from_layer);
-            enc_layer(e, v.to_layer);
-        }
-    }
-    e.u(def.special_nets.len() as u64);
-    for sn in &def.special_nets {
-        enc_special_net(e, sn);
+    #[inline(always)]
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        d.s().map(str::to_owned)
     }
 }
 
-fn enc_special_net(e: &mut Enc, sn: &DefSpecialNet) {
-    e.s(&sn.name);
-    e.u(sn.shapes.len() as u64);
-    for &(layer, rect) in &sn.shapes {
-        enc_layer(e, layer);
-        enc_rect(e, rect);
-    }
-}
-
-fn dec_special_net(d: &mut Dec<'_>) -> Option<DefSpecialNet> {
-    let name = d.s()?.to_owned();
-    let mut shapes = Vec::with_capacity(d.len()?);
-    for _ in 0..shapes.capacity() {
-        shapes.push((dec_layer(d)?, dec_rect(d)?));
-    }
-    Some(DefSpecialNet { name, shapes })
-}
-
-fn dec_def(d: &mut Dec<'_>) -> Option<Def> {
-    let design = d.s()?.to_owned();
-    let dbu_per_micron = d.i()?;
-    let die = dec_rect(d)?;
-    let mut components = Vec::with_capacity(d.len()?);
-    for _ in 0..components.capacity() {
-        components.push(DefComponent {
-            name: d.s()?.to_owned(),
-            macro_name: d.s()?.to_owned(),
-            origin: dec_point(d)?,
-            orient: dec_orient(d)?,
-            fixed: d.b()?,
-        });
-    }
-    let mut nets = Vec::with_capacity(d.len()?);
-    for _ in 0..nets.capacity() {
-        let name = d.s()?.to_owned();
-        let mut connections = Vec::with_capacity(d.len()?);
-        for _ in 0..connections.capacity() {
-            connections.push(DefConnection {
-                instance: d.s()?.to_owned(),
-                pin: d.s()?.to_owned(),
-            });
-        }
-        let mut wires = Vec::with_capacity(d.len()?);
-        for _ in 0..wires.capacity() {
-            wires.push(DefWire {
-                layer: dec_layer(d)?,
-                from: dec_point(d)?,
-                to: dec_point(d)?,
-            });
-        }
-        let mut vias = Vec::with_capacity(d.len()?);
-        for _ in 0..vias.capacity() {
-            vias.push(DefVia {
-                at: dec_point(d)?,
-                from_layer: dec_layer(d)?,
-                to_layer: dec_layer(d)?,
-            });
-        }
-        nets.push(DefNet {
-            name,
-            connections,
-            wires,
-            vias,
-        });
-    }
-    let mut special_nets = Vec::with_capacity(d.len()?);
-    for _ in 0..special_nets.capacity() {
-        special_nets.push(dec_special_net(d)?);
-    }
-    Some(Def {
-        design,
-        dbu_per_micron,
-        die,
-        components,
-        nets,
-        special_nets,
-    })
-}
-
-// --- P&R result ---
-
-fn enc_pnr_result(e: &mut Enc, pnr: &PnrResult) {
-    let fp = &pnr.floorplan;
-    enc_rect(e, fp.die);
-    enc_rect(e, fp.core);
-    e.u(fp.rows.len() as u64);
-    for row in &fp.rows {
-        e.i(row.y);
-        e.i(row.x);
-        e.i(row.sites);
-        enc_orient(e, row.orient);
-    }
-    e.f(fp.target_utilization);
-    e.i128v(fp.cell_area_nm2);
-
-    let pp = &pnr.powerplan;
-    e.u(pp.special_nets.len() as u64);
-    for sn in &pp.special_nets {
-        enc_special_net(e, sn);
-    }
-    e.u(pp.taps.len() as u64);
-    for tap in &pp.taps {
-        e.u(tap.row as u64);
-        e.i(tap.site);
-        e.i(tap.width_sites);
-    }
-    e.u(pp.vss_stripe_x.len() as u64);
-    for &x in &pp.vss_stripe_x {
-        e.i(x);
-    }
-
-    let pl = &pnr.placement;
-    e.u(pl.origins.len() as u64);
-    for &p in &pl.origins {
-        enc_point(e, p);
-    }
-    e.u(pl.orients.len() as u64);
-    for &o in &pl.orients {
-        enc_orient(e, o);
-    }
-    e.u(u64::from(pl.violations));
-    e.i(pl.hpwl_nm);
-    e.u(pl.port_positions.len() as u64);
-    for &p in &pl.port_positions {
-        enc_point(e, p);
-    }
-
-    let ct = &pnr.clock;
-    e.u(ct.buffers.len() as u64);
-    for &b in &ct.buffers {
-        e.u(u64::from(b.0));
-    }
-    e.u(u64::from(ct.levels));
-    e.u(ct.sink_count as u64);
-
-    let rt = &pnr.routing;
-    e.u(rt.nets.len() as u64);
-    for rn in &rt.nets {
-        e.u(u64::from(rn.net.0));
-        e.b(rn.side == Side::Back);
-        e.u(rn.wires.len() as u64);
-        for w in &rn.wires {
-            enc_layer(e, w.layer);
-            enc_point(e, w.from);
-            enc_point(e, w.to);
-        }
-        e.u(rn.vias.len() as u64);
-        for v in &rn.vias {
-            enc_point(e, v.at);
-            enc_layer(e, v.from_layer);
-            enc_layer(e, v.to_layer);
-        }
-    }
-    e.f(rt.overflow_tracks);
-    e.u(u64::from(rt.drv_count));
-    e.i(rt.wirelength_nm);
-    e.u(rt.via_count as u64);
-    e.f(rt.peak_congestion);
-    e.i(rt.back_wirelength_nm);
-    e.u(rt.hot_gcells.len() as u64);
-    for &(x, y, side, hd, vd) in &rt.hot_gcells {
-        e.u(u64::from(x));
-        e.u(u64::from(y));
-        e.b(side == Side::Back);
-        e.f(hd);
-        e.f(vd);
-    }
-
-    enc_def(e, &pnr.front_def);
-    enc_def(e, &pnr.back_def);
-}
-
-fn dec_side(d: &mut Dec<'_>) -> Option<Side> {
-    Some(if d.b()? { Side::Back } else { Side::Front })
-}
-
-fn dec_pnr_result(d: &mut Dec<'_>) -> Option<PnrResult> {
-    let die = dec_rect(d)?;
-    let core = dec_rect(d)?;
-    let mut rows = Vec::with_capacity(d.len()?);
-    for _ in 0..rows.capacity() {
-        rows.push(Row {
-            y: d.i()?,
-            x: d.i()?,
-            sites: d.i()?,
-            orient: dec_orient(d)?,
-        });
-    }
-    let floorplan = Floorplan {
-        die,
-        core,
-        rows,
-        target_utilization: d.f()?,
-        cell_area_nm2: d.i128v()?,
-    };
-
-    let mut special_nets = Vec::with_capacity(d.len()?);
-    for _ in 0..special_nets.capacity() {
-        special_nets.push(dec_special_net(d)?);
-    }
-    let mut taps = Vec::with_capacity(d.len()?);
-    for _ in 0..taps.capacity() {
-        taps.push(TapCell {
-            row: d.usz()?,
-            site: d.i()?,
-            width_sites: d.i()?,
-        });
-    }
-    let mut vss_stripe_x = Vec::with_capacity(d.len()?);
-    for _ in 0..vss_stripe_x.capacity() {
-        vss_stripe_x.push(d.i()?);
-    }
-    let powerplan = PowerPlan {
-        special_nets,
-        taps,
-        vss_stripe_x,
-    };
-
-    let mut origins = Vec::with_capacity(d.len()?);
-    for _ in 0..origins.capacity() {
-        origins.push(dec_point(d)?);
-    }
-    let mut orients = Vec::with_capacity(d.len()?);
-    for _ in 0..orients.capacity() {
-        orients.push(dec_orient(d)?);
-    }
-    let violations = d.u32v()?;
-    let hpwl_nm = d.i()?;
-    let mut port_positions = Vec::with_capacity(d.len()?);
-    for _ in 0..port_positions.capacity() {
-        port_positions.push(dec_point(d)?);
-    }
-    let placement = Placement {
-        origins,
-        orients,
-        violations,
-        hpwl_nm,
-        port_positions,
-    };
-
-    let mut buffers = Vec::with_capacity(d.len()?);
-    for _ in 0..buffers.capacity() {
-        buffers.push(InstId(d.u32v()?));
-    }
-    let clock = ClockTree {
-        buffers,
-        levels: d.u32v()?,
-        sink_count: d.usz()?,
-    };
-
-    let mut nets = Vec::with_capacity(d.len()?);
-    for _ in 0..nets.capacity() {
-        let net = NetId(d.u32v()?);
-        let side = dec_side(d)?;
-        let mut wires = Vec::with_capacity(d.len()?);
-        for _ in 0..wires.capacity() {
-            wires.push(DefWire {
-                layer: dec_layer(d)?,
-                from: dec_point(d)?,
-                to: dec_point(d)?,
-            });
-        }
-        let mut vias = Vec::with_capacity(d.len()?);
-        for _ in 0..vias.capacity() {
-            vias.push(DefVia {
-                at: dec_point(d)?,
-                from_layer: dec_layer(d)?,
-                to_layer: dec_layer(d)?,
-            });
-        }
-        nets.push(RoutedNet {
-            net,
-            side,
-            wires,
-            vias,
-        });
-    }
-    let overflow_tracks = d.f()?;
-    let drv_count = d.u32v()?;
-    let wirelength_nm = d.i()?;
-    let via_count = d.usz()?;
-    let peak_congestion = d.f()?;
-    let back_wirelength_nm = d.i()?;
-    let mut hot_gcells = Vec::with_capacity(d.len()?);
-    for _ in 0..hot_gcells.capacity() {
-        hot_gcells.push((
-            u16::try_from(d.u()?).ok()?,
-            u16::try_from(d.u()?).ok()?,
-            dec_side(d)?,
-            d.f()?,
-            d.f()?,
-        ));
-    }
-    let routing = RoutingResult {
-        nets,
-        overflow_tracks,
-        drv_count,
-        wirelength_nm,
-        via_count,
-        peak_congestion,
-        back_wirelength_nm,
-        hot_gcells,
-    };
-
-    Some(PnrResult {
-        floorplan,
-        powerplan,
-        placement,
-        clock,
-        routing,
-        front_def: dec_def(d)?,
-        back_def: dec_def(d)?,
-    })
-}
-
-// --- signoff ---
-
-/// Interner for `Violation::rule` (`&'static str` in the live type).
+/// Interner for `Violation::rule`, the one `&'static str` in a payload.
 /// Signoff rule ids form a small closed set, so the leak is bounded by
 /// that set's total size regardless of how many payloads are decoded.
 static RULE_NAMES: Mutex<BTreeMap<String, &'static str>> = Mutex::new(BTreeMap::new());
 
-fn intern_rule(name: &str) -> &'static str {
-    let mut map = RULE_NAMES
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(&interned) = map.get(name) {
-        return interned;
+impl Codec for &'static str {
+    fn enc(&self, e: &mut Enc) {
+        e.s(self);
     }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    map.insert(name.to_owned(), leaked);
-    leaked
-}
 
-fn enc_signoff(e: &mut Enc, report: &SignoffReport) {
-    e.u(report.violations.len() as u64);
-    for v in &report.violations {
-        e.s(v.rule);
-        e.b(v.severity == Severity::Error);
-        e.s(&v.subject);
-        match v.location {
-            Some(p) => {
-                e.b(true);
-                enc_point(e, p);
-            }
-            None => e.b(false),
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        let name = d.s()?;
+        let mut map = RULE_NAMES
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(&interned) = map.get(name) {
+            return Some(interned);
         }
-        e.s(&v.message);
+        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+        map.insert(name.to_owned(), leaked);
+        Some(leaked)
     }
 }
 
-fn dec_signoff(d: &mut Dec<'_>) -> Option<SignoffReport> {
-    let mut violations = Vec::with_capacity(d.len()?);
-    for _ in 0..violations.capacity() {
-        let rule = intern_rule(d.s()?);
-        let severity = if d.b()? {
-            Severity::Error
-        } else {
-            Severity::Warning
-        };
-        let subject = d.s()?.to_owned();
-        let location = if d.b()? { Some(dec_point(d)?) } else { None };
-        violations.push(Violation {
-            rule,
-            severity,
-            subject,
-            location,
-            message: d.s()?.to_owned(),
-        });
-    }
-    Some(SignoffReport { violations })
-}
-
-// --- parasitics / timing / power ---
-
-fn enc_parasitics(e: &mut Enc, parasitics: &[Option<NetParasitics>]) {
-    e.u(parasitics.len() as u64);
-    for slot in parasitics {
-        match slot {
-            Some(np) => {
+impl<T: Codec> Codec for Option<T> {
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            Some(v) => {
                 e.b(true);
-                e.s(&np.name);
-                e.f(np.total_cap_ff);
-                e.u(np.sinks.len() as u64);
-                for s in &np.sinks {
-                    e.f(s.path_res_kohm);
-                    e.f(s.wire_elmore_ps);
-                    e.b(s.connected);
-                }
+                v.enc(e);
             }
             None => e.b(false),
         }
     }
-}
 
-fn dec_parasitics(d: &mut Dec<'_>) -> Option<Vec<Option<NetParasitics>>> {
-    let mut out = Vec::with_capacity(d.len()?);
-    for _ in 0..out.capacity() {
-        if !d.b()? {
-            out.push(None);
-            continue;
-        }
-        let name = d.s()?.to_owned();
-        let total_cap_ff = d.f()?;
-        let mut sinks = Vec::with_capacity(d.len()?);
-        for _ in 0..sinks.capacity() {
-            sinks.push(SinkParasitics {
-                path_res_kohm: d.f()?,
-                wire_elmore_ps: d.f()?,
-                connected: d.b()?,
-            });
-        }
-        out.push(Some(NetParasitics {
-            name,
-            total_cap_ff,
-            sinks,
-        }));
-    }
-    Some(out)
-}
-
-fn enc_timing(e: &mut Enc, timing: &TimingReport) {
-    e.f(timing.critical_path_ps);
-    e.f(timing.max_frequency_ghz);
-    e.f(timing.wns_ps);
-    e.u(timing.endpoints as u64);
-    e.s(&timing.critical_net);
-    e.u(timing.path.len() as u64);
-    for step in &timing.path {
-        e.s(&step.net);
-        e.f(step.arrival_ps);
-        e.f(step.cell_delay_ps);
-        e.f(step.wire_delay_ps);
-        e.s(&step.cell);
-        e.u(step.fanout as u64);
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        Some(if d.b()? { Some(T::dec(d)?) } else { None })
     }
 }
 
-fn dec_timing(d: &mut Dec<'_>) -> Option<TimingReport> {
-    let critical_path_ps = d.f()?;
-    let max_frequency_ghz = d.f()?;
-    let wns_ps = d.f()?;
-    let endpoints = d.usz()?;
-    let critical_net = d.s()?.to_owned();
-    let mut path = Vec::with_capacity(d.len()?);
-    for _ in 0..path.capacity() {
-        path.push(PathStep {
-            net: d.s()?.to_owned(),
-            arrival_ps: d.f()?,
-            cell_delay_ps: d.f()?,
-            wire_delay_ps: d.f()?,
-            cell: d.s()?.to_owned(),
-            fanout: d.usz()?,
-        });
-    }
-    Some(TimingReport {
-        critical_path_ps,
-        max_frequency_ghz,
-        wns_ps,
-        endpoints,
-        critical_net,
-        path,
-    })
-}
-
-fn enc_power(e: &mut Enc, power: &PowerReport) {
-    e.f(power.switching_mw);
-    e.f(power.internal_mw);
-    e.f(power.leakage_mw);
-    e.f(power.clock_mw);
-}
-
-fn dec_power(d: &mut Dec<'_>) -> Option<PowerReport> {
-    Some(PowerReport {
-        switching_mw: d.f()?,
-        internal_mw: d.f()?,
-        leakage_mw: d.f()?,
-        clock_mw: d.f()?,
-    })
-}
-
-// --- captured trace (spans + metrics) ---
-
-fn enc_point_data(e: &mut Enc, data: &PointData) {
-    e.u(data.events.len() as u64);
-    for ev in &data.events {
-        e.u(u64::from(ev.id));
-        match ev.parent {
-            Some(p) => {
-                e.b(true);
-                e.u(u64::from(p));
-            }
-            None => e.b(false),
-        }
-        e.u(u64::from(ev.depth));
-        e.s(&ev.name);
-        // start_us/dur_us are wall clock: stripped before storage, zeroed
-        // on decode.
-        e.u(ev.attrs.len() as u64);
-        for (key, value) in &ev.attrs {
-            e.s(key);
-            match value {
-                AttrValue::Str(s) => {
-                    e.u(0);
-                    e.s(s);
-                }
-                AttrValue::Int(i) => {
-                    e.u(1);
-                    e.i(*i);
-                }
-                AttrValue::Float(x) => {
-                    e.u(2);
-                    e.f(*x);
-                }
-                AttrValue::Bool(b) => {
-                    e.u(3);
-                    e.b(*b);
-                }
-            }
-        }
-    }
-    let m = &data.metrics;
-    e.u(m.counters.len() as u64);
-    for (name, value) in &m.counters {
-        e.s(name);
-        e.i(*value);
-    }
-    e.u(m.gauges.len() as u64);
-    for (name, value) in &m.gauges {
-        e.s(name);
-        e.f(*value);
-    }
-    e.u(m.histograms.len() as u64);
-    for (name, h) in &m.histograms {
-        e.s(name);
-        e.u(h.count);
-        e.f(h.sum);
-        e.f(h.min);
-        e.f(h.max);
-        e.u(h.buckets.len() as u64);
-        for &b in &h.buckets {
-            e.u(b);
+impl<T: Codec> Codec for [T] {
+    fn enc(&self, e: &mut Enc) {
+        e.u(self.len() as u64);
+        for item in self {
+            item.enc(e);
         }
     }
 }
 
-fn dec_point_data(d: &mut Dec<'_>) -> Option<PointData> {
-    let mut events = Vec::with_capacity(d.len()?);
-    for _ in 0..events.capacity() {
-        let id = d.u32v()?;
-        let parent = if d.b()? { Some(d.u32v()?) } else { None };
-        let depth = u16::try_from(d.u()?).ok()?;
-        let name = d.s()?.to_owned();
-        let mut attrs = Vec::with_capacity(d.len()?);
-        for _ in 0..attrs.capacity() {
-            let key = d.s()?.to_owned();
-            let value = match d.u()? {
-                0 => AttrValue::Str(d.s()?.to_owned()),
-                1 => AttrValue::Int(d.i()?),
-                2 => AttrValue::Float(d.f()?),
-                3 => AttrValue::Bool(d.b()?),
-                _ => return None,
-            };
-            attrs.push((key, value));
+impl<T: Codec> Codec for Vec<T> {
+    fn enc(&self, e: &mut Enc) {
+        self.as_slice().enc(e);
+    }
+
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        let n = d.len()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::dec(d)?);
         }
-        events.push(SpanEvent {
-            id,
-            parent,
-            depth,
-            name,
-            start_us: 0.0,
-            dur_us: 0.0,
-            attrs,
-        });
+        Some(out)
     }
-    let mut metrics = MetricsSnapshot::default();
-    for _ in 0..d.len()? {
-        let name = d.s()?.to_owned();
-        metrics.counters.insert(name, d.i()?);
+}
+
+impl<V: Codec> Codec for BTreeMap<String, V> {
+    fn enc(&self, e: &mut Enc) {
+        e.u(self.len() as u64);
+        for (key, value) in self {
+            key.enc(e);
+            value.enc(e);
+        }
     }
-    for _ in 0..d.len()? {
-        let name = d.s()?.to_owned();
-        metrics.gauges.insert(name, d.f()?);
+
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        let mut out = BTreeMap::new();
+        for _ in 0..d.len()? {
+            let key = String::dec(d)?;
+            out.insert(key, V::dec(d)?);
+        }
+        Some(out)
     }
-    for _ in 0..d.len()? {
-        let name = d.s()?.to_owned();
-        let mut h = Histogram {
-            count: d.u()?,
-            sum: d.f()?,
-            min: d.f()?,
-            max: d.f()?,
-            ..Histogram::default()
-        };
-        if d.usz()? != h.buckets.len() {
+}
+
+/// A fixed-size array: its length, which must be `N` on the way in.
+impl<const N: usize> Codec for [u64; N] {
+    fn enc(&self, e: &mut Enc) {
+        e.u(N as u64);
+        for &v in self {
+            e.u(v);
+        }
+    }
+
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        if usize::dec(d)? != N {
             return None;
         }
-        for slot in &mut h.buckets {
+        let mut out = [0; N];
+        for slot in &mut out {
             *slot = d.u()?;
         }
-        metrics.histograms.insert(name, h);
+        Some(out)
     }
-    Some(PointData { events, metrics })
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn enc(&self, e: &mut Enc) {
+        self.0.enc(e);
+        self.1.enc(e);
+    }
+
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        Some((A::dec(d)?, B::dec(d)?))
+    }
+}
+
+impl<A: Codec, B: Codec, C: Codec, D: Codec, E: Codec> Codec for (A, B, C, D, E) {
+    fn enc(&self, e: &mut Enc) {
+        self.0.enc(e);
+        self.1.enc(e);
+        self.2.enc(e);
+        self.3.enc(e);
+        self.4.enc(e);
+    }
+
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        Some((A::dec(d)?, B::dec(d)?, C::dec(d)?, D::dec(d)?, E::dec(d)?))
+    }
+}
+
+/// Structs whose payload is their fields in the order listed. The decoder
+/// is a struct literal, so a field added to one of these types does not
+/// compile until it has a place in the list (and [`PAYLOAD_VERSION`] is
+/// bumped).
+macro_rules! struct_codec {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Codec for $ty {
+            #[inline]
+            fn enc(&self, e: &mut Enc) {
+                $(self.$field.enc(e);)+
+            }
+
+            #[inline(always)]
+            fn dec(d: &mut Dec<'_>) -> Option<Self> {
+                Some($ty { $($field: Codec::dec(d)?),+ })
+            }
+        }
+    )+};
+}
+
+struct_codec! {
+    Point { x, y }
+    Rect { lo, hi }
+    LayerId { side, index }
+    PinRef { inst, pin }
+    Instance { name, cell, conns, fixed }
+    Net { name, driver, sinks, is_clock }
+    Port { name, direction, net }
+    Def { design, dbu_per_micron, die, components, nets, special_nets }
+    DefComponent { name, macro_name, origin, orient, fixed }
+    DefNet { name, connections, wires, vias }
+    DefConnection { instance, pin }
+    DefWire { layer, from, to }
+    DefVia { at, from_layer, to_layer }
+    DefSpecialNet { name, shapes }
+    PnrResult { floorplan, powerplan, placement, clock, routing, front_def, back_def }
+    Floorplan { die, core, rows, target_utilization, cell_area_nm2 }
+    Row { y, x, sites, orient }
+    PowerPlan { special_nets, taps, vss_stripe_x }
+    TapCell { row, site, width_sites }
+    Placement { origins, orients, violations, hpwl_nm, port_positions }
+    ClockTree { buffers, levels, sink_count }
+    RoutingResult {
+        nets, overflow_tracks, drv_count, wirelength_nm, via_count, peak_congestion,
+        back_wirelength_nm, hot_gcells
+    }
+    RoutedNet { net, side, wires, vias }
+    SignoffReport { violations }
+    Violation { rule, severity, subject, location, message }
+    NetParasitics { name, total_cap_ff, sinks }
+    SinkParasitics { path_res_kohm, wire_elmore_ps, connected }
+    TimingReport { critical_path_ps, max_frequency_ghz, wns_ps, endpoints, critical_net, path }
+    PathStep { net, arrival_ps, cell_delay_ps, wire_delay_ps, cell, fanout }
+    PowerReport { switching_mw, internal_mw, leakage_mw, clock_mw }
+    PointData { events, metrics }
+    MetricsSnapshot { counters, gauges, histograms }
+    Histogram { count, sum, min, max, buckets }
+}
+
+/// The netlist's fields are private: it is rebuilt through
+/// [`Netlist::from_parts`], which rejects duplicate net names.
+impl Codec for Netlist {
+    fn enc(&self, e: &mut Enc) {
+        self.name().enc(e);
+        self.instances().enc(e);
+        self.nets().enc(e);
+        self.ports().enc(e);
+    }
+
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        let name = String::dec(d)?;
+        let instances = Vec::dec(d)?;
+        let nets = Vec::dec(d)?;
+        let ports = Vec::dec(d)?;
+        Netlist::from_parts(name, instances, nets, ports).ok()
+    }
+}
+
+/// `start_us`/`dur_us` are wall clock: stripped before storage, not
+/// written, and zero on decode.
+impl Codec for SpanEvent {
+    fn enc(&self, e: &mut Enc) {
+        self.id.enc(e);
+        self.parent.enc(e);
+        self.depth.enc(e);
+        self.name.enc(e);
+        self.attrs.enc(e);
+    }
+
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        Some(SpanEvent {
+            id: Codec::dec(d)?,
+            parent: Codec::dec(d)?,
+            depth: Codec::dec(d)?,
+            name: Codec::dec(d)?,
+            start_us: 0.0,
+            dur_us: 0.0,
+            attrs: Codec::dec(d)?,
+        })
+    }
+}
+
+/// A tag token (0 string, 1 integer, 2 float, 3 bool), then the value.
+impl Codec for AttrValue {
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            AttrValue::Str(s) => {
+                e.u(0);
+                s.enc(e);
+            }
+            AttrValue::Int(i) => {
+                e.u(1);
+                i.enc(e);
+            }
+            AttrValue::Float(x) => {
+                e.u(2);
+                x.enc(e);
+            }
+            AttrValue::Bool(b) => {
+                e.u(3);
+                b.enc(e);
+            }
+        }
+    }
+
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        Some(match d.u()? {
+            0 => AttrValue::Str(Codec::dec(d)?),
+            1 => AttrValue::Int(Codec::dec(d)?),
+            2 => AttrValue::Float(Codec::dec(d)?),
+            3 => AttrValue::Bool(Codec::dec(d)?),
+            _ => return None,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Per-stage payloads
 // ---------------------------------------------------------------------------
+//
+// A stage payload is the version + stage tag prefix, the stage's artifact,
+// then its captured (timing-stripped) trace.
+
+fn encode<T: Codec + ?Sized>(stage: Stage, value: &T, data: &PointData) -> String {
+    let mut e = Enc::new(stage.name());
+    value.enc(&mut e);
+    data.enc(&mut e);
+    e.finish()
+}
+
+fn decode<T: Codec>(stage: Stage, text: &str) -> Option<(T, PointData)> {
+    let mut d = Dec::new(text, stage.name())?;
+    let payload = Codec::dec(&mut d)?;
+    d.done().then_some(payload)
+}
 
 /// Encodes the synth payload: the synthesized netlist plus the stage's
 /// captured (timing-stripped) trace.
 #[must_use]
 pub fn encode_synth(netlist: &Netlist, data: &PointData) -> String {
-    let mut e = Enc::new(Stage::Synth.name());
-    enc_netlist(&mut e, netlist);
-    enc_point_data(&mut e, data);
-    e.finish()
+    encode(Stage::Synth, netlist, data)
 }
 
 /// Decodes a synth payload; `None` on any mismatch (treated as a miss).
 #[must_use]
 pub fn decode_synth(text: &str) -> Option<(Netlist, PointData)> {
-    let mut d = Dec::new(text, Stage::Synth.name())?;
-    let netlist = dec_netlist(&mut d)?;
-    let data = dec_point_data(&mut d)?;
-    d.done().then_some((netlist, data))
+    decode(Stage::Synth, text)
 }
 
 /// Encodes the pnr payload: the post-CTS netlist (P&R inserts clock
 /// buffers), the full [`PnrResult`], and the captured trace.
 #[must_use]
 pub fn encode_pnr(value: &(Netlist, PnrResult), data: &PointData) -> String {
-    let mut e = Enc::new(Stage::Pnr.name());
-    enc_netlist(&mut e, &value.0);
-    enc_pnr_result(&mut e, &value.1);
-    enc_point_data(&mut e, data);
-    e.finish()
+    encode(Stage::Pnr, value, data)
 }
 
 /// Decodes a pnr payload.
 #[must_use]
 pub fn decode_pnr(text: &str) -> Option<((Netlist, PnrResult), PointData)> {
-    let mut d = Dec::new(text, Stage::Pnr.name())?;
-    let netlist = dec_netlist(&mut d)?;
-    let pnr = dec_pnr_result(&mut d)?;
-    let data = dec_point_data(&mut d)?;
-    d.done().then_some(((netlist, pnr), data))
+    decode(Stage::Pnr, text)
 }
 
 /// Encodes the merge payload (the merged dual-sided DEF).
 #[must_use]
 pub fn encode_merge(def: &Def, data: &PointData) -> String {
-    let mut e = Enc::new(Stage::Merge.name());
-    enc_def(&mut e, def);
-    enc_point_data(&mut e, data);
-    e.finish()
+    encode(Stage::Merge, def, data)
 }
 
 /// Decodes a merge payload.
 #[must_use]
 pub fn decode_merge(text: &str) -> Option<(Def, PointData)> {
-    let mut d = Dec::new(text, Stage::Merge.name())?;
-    let def = dec_def(&mut d)?;
-    let data = dec_point_data(&mut d)?;
-    d.done().then_some((def, data))
+    decode(Stage::Merge, text)
 }
 
 /// Encodes the signoff payload (the full structured report).
 #[must_use]
 pub fn encode_signoff_payload(report: &SignoffReport, data: &PointData) -> String {
-    let mut e = Enc::new(Stage::Signoff.name());
-    enc_signoff(&mut e, report);
-    enc_point_data(&mut e, data);
-    e.finish()
+    encode(Stage::Signoff, report, data)
 }
 
 /// Decodes a signoff payload.
 #[must_use]
 pub fn decode_signoff_payload(text: &str) -> Option<(SignoffReport, PointData)> {
-    let mut d = Dec::new(text, Stage::Signoff.name())?;
-    let report = dec_signoff(&mut d)?;
-    let data = dec_point_data(&mut d)?;
-    d.done().then_some((report, data))
+    decode(Stage::Signoff, text)
 }
 
 /// Encodes the rcx payload (per-net parasitics, `None` slots preserved).
 #[must_use]
 pub fn encode_rcx(parasitics: &[Option<NetParasitics>], data: &PointData) -> String {
-    let mut e = Enc::new(Stage::Rcx.name());
-    enc_parasitics(&mut e, parasitics);
-    enc_point_data(&mut e, data);
-    e.finish()
+    encode(Stage::Rcx, parasitics, data)
 }
 
 /// Decodes an rcx payload.
 #[must_use]
 pub fn decode_rcx(text: &str) -> Option<(Vec<Option<NetParasitics>>, PointData)> {
-    let mut d = Dec::new(text, Stage::Rcx.name())?;
-    let parasitics = dec_parasitics(&mut d)?;
-    let data = dec_point_data(&mut d)?;
-    d.done().then_some((parasitics, data))
+    decode(Stage::Rcx, text)
 }
 
 /// Encodes the sta payload (timing + power reports).
 #[must_use]
 pub fn encode_sta(value: &(TimingReport, PowerReport), data: &PointData) -> String {
-    let mut e = Enc::new(Stage::Sta.name());
-    enc_timing(&mut e, &value.0);
-    enc_power(&mut e, &value.1);
-    enc_point_data(&mut e, data);
-    e.finish()
+    encode(Stage::Sta, value, data)
 }
 
 /// Decodes an sta payload.
 #[must_use]
 pub fn decode_sta(text: &str) -> Option<((TimingReport, PowerReport), PointData)> {
-    let mut d = Dec::new(text, Stage::Sta.name())?;
-    let timing = dec_timing(&mut d)?;
-    let power = dec_power(&mut d)?;
-    let data = dec_point_data(&mut d)?;
-    d.done().then_some(((timing, power), data))
+    decode(Stage::Sta, text)
 }
 
 // ---------------------------------------------------------------------------
@@ -1352,7 +909,7 @@ pub fn library_sig(config: &FlowConfig) -> String {
 #[must_use]
 pub fn synth_key(config: &FlowConfig, netlist: &Netlist) -> String {
     let mut e = Enc::new("synth-input");
-    enc_netlist(&mut e, netlist);
+    netlist.enc(&mut e);
     let input_hash = hash_hex(fnv1a64(e.finish().as_bytes()));
     format!(
         "sc{PAYLOAD_VERSION}|synth|{:?}|{}|{input_hash}",
@@ -1446,10 +1003,6 @@ impl StageCache {
         &self.root
     }
 
-    fn blob_path(&self, addr: &str) -> PathBuf {
-        self.root.join(format!("{addr}.blob"))
-    }
-
     fn key_path(&self, key: &str) -> PathBuf {
         self.root
             .join(format!("{}.key", hash_hex(fnv1a64(key.as_bytes()))))
@@ -1463,13 +1016,7 @@ impl StageCache {
     pub fn lookup(&self, key: &str) -> Option<(String, String)> {
         let addr = fs::read_to_string(self.key_path(key)).ok()?;
         let addr = addr.trim();
-        if addr.len() != 16 || !addr.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return None;
-        }
-        let body = fs::read_to_string(self.blob_path(addr)).ok()?;
-        if hash_hex(fnv1a64(body.as_bytes())) != addr {
-            return None;
-        }
+        let body = valid_blob(&self.root, addr)?;
         Some((addr.to_owned(), body))
     }
 
@@ -1482,7 +1029,7 @@ impl StageCache {
     #[must_use]
     pub fn store(&self, key: &str, stage: &'static str, payload: &str) -> Option<String> {
         let addr = hash_hex(fnv1a64(payload.as_bytes()));
-        let blob = self.blob_path(&addr);
+        let blob = blob_path(&self.root, &addr);
         let newly_written = if blob.exists() {
             false
         } else {
@@ -1510,6 +1057,21 @@ impl StageCache {
             .open(self.root.join(MANIFEST_FILE))
             .and_then(|mut f| f.write_all(line.as_bytes()));
     }
+}
+
+fn blob_path(root: &Path, addr: &str) -> PathBuf {
+    root.join(format!("{addr}.blob"))
+}
+
+/// The body of blob `addr`, if the blob is valid: `addr` is 16 hex digits
+/// and the body re-hashes to it. The one validity rule of the store, for
+/// [`StageCache::lookup`], [`verify`] and [`gc`].
+fn valid_blob(root: &Path, addr: &str) -> Option<String> {
+    if addr.len() != 16 || !addr.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    let body = fs::read_to_string(blob_path(root, addr)).ok()?;
+    (hash_hex(fnv1a64(body.as_bytes())) == addr).then_some(body)
 }
 
 /// The JSON body of one manifest record.
@@ -1628,38 +1190,62 @@ pub struct VerifyReport {
     pub dangling: usize,
 }
 
+/// One pass over the store for [`verify`] and [`gc`]: every blob judged by
+/// [`valid_blob`], then every link resolved against the valid ones.
+struct Walk {
+    /// The sorted root listing.
+    entries: Vec<(String, u64)>,
+    /// Addresses of valid blobs.
+    valid: BTreeSet<String>,
+    /// Addresses of invalid (poisoned) blobs.
+    corrupt: Vec<String>,
+    /// Each link's file name, with its target if that is a valid blob.
+    links: Vec<(String, Option<String>)>,
+}
+
+fn walk(root: &Path) -> std::io::Result<Walk> {
+    let entries = sorted_entries(root)?;
+    let mut valid = BTreeSet::new();
+    let mut corrupt = Vec::new();
+    for (name, _) in &entries {
+        if let Some(addr) = name.strip_suffix(".blob") {
+            if valid_blob(root, addr).is_some() {
+                valid.insert(addr.to_owned());
+            } else {
+                corrupt.push(addr.to_owned());
+            }
+        }
+    }
+    let mut links = Vec::new();
+    for (name, _) in &entries {
+        if name.ends_with(".key") {
+            let target = fs::read_to_string(root.join(name)).unwrap_or_default();
+            let target = target.trim();
+            links.push((name.clone(), valid.get(target).cloned()));
+        }
+    }
+    Ok(Walk {
+        entries,
+        valid,
+        corrupt,
+        links,
+    })
+}
+
 /// Re-hashes every blob and resolves every link.
 ///
 /// # Errors
 ///
 /// Propagates directory-scan I/O errors.
 pub fn verify(root: &Path) -> std::io::Result<VerifyReport> {
-    let mut report = VerifyReport::default();
-    let mut valid = std::collections::BTreeSet::new();
-    let entries = sorted_entries(root)?;
-    for (name, _) in &entries {
-        if let Some(addr) = name.strip_suffix(".blob") {
-            let ok = fs::read_to_string(root.join(name))
-                .is_ok_and(|body| hash_hex(fnv1a64(body.as_bytes())) == addr);
-            if ok {
-                report.blobs_ok += 1;
-                valid.insert(addr.to_owned());
-            } else {
-                report.corrupt.push(addr.to_owned());
-            }
-        }
-    }
-    for (name, _) in &entries {
-        if name.ends_with(".key") {
-            let target = fs::read_to_string(root.join(name)).unwrap_or_default();
-            if valid.contains(target.trim()) {
-                report.links_ok += 1;
-            } else {
-                report.dangling += 1;
-            }
-        }
-    }
-    Ok(report)
+    let walk = walk(root)?;
+    let links_ok = walk.links.iter().filter(|(_, t)| t.is_some()).count();
+    Ok(VerifyReport {
+        blobs_ok: walk.valid.len(),
+        corrupt: walk.corrupt,
+        links_ok,
+        dangling: walk.links.len() - links_ok,
+    })
 }
 
 /// What `ffet cache gc` reports.
@@ -1687,33 +1273,23 @@ pub struct GcReport {
 /// counted as kept, never fatal).
 pub fn gc(root: &Path) -> std::io::Result<GcReport> {
     let mut report = GcReport::default();
-    let entries = sorted_entries(root)?;
-    // Pass 1: verify blobs.
-    let mut valid = std::collections::BTreeSet::new();
-    for (name, _) in &entries {
-        if let Some(addr) = name.strip_suffix(".blob") {
-            let ok = fs::read_to_string(root.join(name))
-                .is_ok_and(|body| hash_hex(fnv1a64(body.as_bytes())) == addr);
-            if ok {
-                valid.insert(addr.to_owned());
+    let walk = walk(root)?;
+    // Drop dangling links; collect the blobs the others reference.
+    let mut referenced = BTreeSet::new();
+    for (name, target) in walk.links {
+        match target {
+            Some(addr) => {
+                referenced.insert(addr);
+            }
+            None => {
+                if fs::remove_file(root.join(name)).is_ok() {
+                    report.removed_links += 1;
+                }
             }
         }
     }
-    // Pass 2: resolve links; drop dangling ones, collect references.
-    let mut referenced = std::collections::BTreeSet::new();
-    for (name, _) in &entries {
-        if name.ends_with(".key") {
-            let target = fs::read_to_string(root.join(name)).unwrap_or_default();
-            let target = target.trim();
-            if valid.contains(target) {
-                referenced.insert(target.to_owned());
-            } else if fs::remove_file(root.join(name)).is_ok() {
-                report.removed_links += 1;
-            }
-        }
-    }
-    // Pass 3: drop unreferenced/corrupt blobs and crashed-writer tmps.
-    for (name, size) in &entries {
+    // Drop unreferenced/corrupt blobs and crashed-writer tmps.
+    for (name, size) in &walk.entries {
         if let Some(addr) = name.strip_suffix(".blob") {
             if referenced.contains(addr) {
                 report.kept_blobs += 1;
@@ -1921,34 +1497,6 @@ mod tests {
         (config, library, netlist)
     }
 
-    #[test]
-    fn codec_scalars_round_trip() {
-        let mut e = Enc::new("t");
-        e.u(0);
-        e.u(u64::MAX);
-        e.i(-42);
-        e.i128v(i128::MIN);
-        e.f(-0.0);
-        e.f(f64::NAN);
-        e.b(true);
-        e.s("");
-        e.s("hello world:with 3 tokens");
-        let text = e.finish();
-        let mut d = Dec::new(&text, "t").expect("tag");
-        assert_eq!(d.u(), Some(0));
-        assert_eq!(d.u(), Some(u64::MAX));
-        assert_eq!(d.i(), Some(-42));
-        assert_eq!(d.i128v(), Some(i128::MIN));
-        assert_eq!(d.f().map(f64::to_bits), Some((-0.0f64).to_bits()));
-        assert_eq!(d.f().map(f64::to_bits), Some(f64::NAN.to_bits()));
-        assert_eq!(d.b(), Some(true));
-        assert_eq!(d.s(), Some(""));
-        assert_eq!(d.s(), Some("hello world:with 3 tokens"));
-        assert!(d.done());
-        // Wrong stage tag rejects the whole payload.
-        assert!(Dec::new(&text, "other").is_none());
-    }
-
     /// A scalar reader, called on both decoders by the differential tests.
     #[derive(Debug, Clone, Copy)]
     enum Read {
@@ -2023,10 +1571,22 @@ mod tests {
     /// The six stage payloads of one counter flow, read back from the
     /// scratch cache `tag`, in stage-name order.
     fn counter_payloads(tag: &str) -> Vec<(String, String)> {
+        counter_flow(tag).2
+    }
+
+    /// One counter flow through the scratch cache `tag`: its outcome, its
+    /// library and its six stage payloads, in stage-name order.
+    fn counter_flow(
+        tag: &str,
+    ) -> (
+        crate::FlowOutcome,
+        ffet_cells::Library,
+        Vec<(String, String)>,
+    ) {
         let dir = scratch(tag);
         let (mut config, library, netlist) = small_flow_pieces();
         config.stage_cache = Some(dir.clone());
-        crate::run_flow(&netlist, &library, &config).expect("flow");
+        let outcome = crate::run_flow(&netlist, &library, &config).expect("flow");
         let mut out = Vec::new();
         for entry in fs::read_dir(&dir).expect("cache root") {
             let path = entry.expect("dir entry").path();
@@ -2041,7 +1601,7 @@ mod tests {
         out.sort();
         let _ = fs::remove_dir_all(&dir);
         assert_eq!(out.len(), Stage::ALL.len(), "one payload per stage");
-        out
+        (outcome, library, out)
     }
 
     /// Whether `stage`'s whole-payload decoder accepts `text`.
@@ -2335,75 +1895,53 @@ mod tests {
         assert_eq!(d.s(), None);
     }
 
-    #[test]
-    fn netlist_payload_round_trips_byte_exactly() {
-        let (_config, library, mut netlist) = small_flow_pieces();
-        // Exercise synthesized structure (buffers, resized drives).
-        crate::synth::synthesize(
-            &mut netlist,
-            &library,
-            &crate::synth::SynthConfig::default(),
-        )
-        .expect("synth");
-        let payload = encode_synth(&netlist, &PointData::default());
-        let (decoded, _) = decode_synth(&payload).expect("decode");
-        assert_eq!(decoded.name(), netlist.name());
-        assert_eq!(decoded.instances().len(), netlist.instances().len());
-        decoded.check_consistency(&library).expect("consistent");
-        // Canonical: re-encoding the decoded netlist reproduces the bytes.
-        assert_eq!(encode_synth(&decoded, &PointData::default()), payload);
+    /// Encodes `v`, decodes it, and checks that the decoded value encodes
+    /// to the same bytes and that the tokens under another stage tag are
+    /// rejected. Returns the decoded value.
+    fn round_trip<T: Codec>(v: &T) -> T {
+        let mut e = Enc::new("t");
+        v.enc(&mut e);
+        let text = e.finish();
+        let mut d = Dec::new(&text, "t").expect("tag");
+        let back = T::dec(&mut d).expect("decode");
+        assert!(d.done(), "tokens left over");
+        let mut again = Enc::new("t");
+        back.enc(&mut again);
+        assert_eq!(again.finish(), text, "re-encoding drifted");
+        assert!(Dec::new(&text, "other").is_none(), "wrong stage tag");
+        back
+    }
+
+    /// [`round_trip`], and the decoded value equals `v`.
+    fn round_trip_eq<T: Codec + PartialEq + std::fmt::Debug>(v: &T) {
+        assert_eq!(&round_trip(v), v);
     }
 
     #[test]
-    fn full_stage_payloads_round_trip_through_a_real_flow() {
-        let (config, library, netlist) = small_flow_pieces();
-        let outcome = crate::run_flow(&netlist, &library, &config).expect("flow");
+    fn payload_types_round_trip_byte_exactly() {
+        // Scalar edge cases. Floats compare by bits: `-0.0 == 0.0` and
+        // NaN payload bits are invisible to `==`.
+        round_trip_eq(&0u64);
+        round_trip_eq(&u64::MAX);
+        round_trip_eq(&-42i64);
+        round_trip_eq(&i64::MIN);
+        round_trip_eq(&i128::MIN);
+        round_trip_eq(&true);
+        for x in [-0.0, f64::NAN, f64::from_bits(0x7ff8_0000_dead_beef)] {
+            assert_eq!(round_trip(&x).to_bits(), x.to_bits());
+        }
+        for s in ["", "hello world:with 3 tokens", " ", ":", "日本語 🦀:7 "] {
+            round_trip_eq(&s.to_owned());
+        }
 
-        let pnr_payload = encode_pnr(
-            &(netlist.clone(), outcome.pnr.clone()),
-            &PointData::default(),
-        );
-        let ((_, pnr), _) = decode_pnr(&pnr_payload).expect("pnr decode");
-        assert_eq!(pnr.routing.wirelength_nm, outcome.pnr.routing.wirelength_nm);
-        assert_eq!(pnr.front_def, outcome.pnr.front_def);
-        assert_eq!(pnr.placement.origins, outcome.pnr.placement.origins);
-        assert_eq!(
-            encode_pnr(&(netlist.clone(), pnr), &PointData::default()),
-            pnr_payload
-        );
-
-        let merge_payload = encode_merge(&outcome.merged_def, &PointData::default());
-        let (merged, _) = decode_merge(&merge_payload).expect("merge decode");
-        assert_eq!(merged, outcome.merged_def);
-
-        let signoff_payload = encode_signoff_payload(&outcome.signoff, &PointData::default());
-        let (signoff, _) = decode_signoff_payload(&signoff_payload).expect("signoff decode");
-        assert_eq!(signoff, outcome.signoff);
-
-        let rcx_payload = encode_rcx(&outcome.parasitics, &PointData::default());
-        let (parasitics, _) = decode_rcx(&rcx_payload).expect("rcx decode");
-        assert_eq!(parasitics, outcome.parasitics);
-
-        let power = PowerReport {
-            switching_mw: 1.25,
-            internal_mw: 0.5,
-            leakage_mw: 0.0625,
-            clock_mw: 0.75,
-        };
-        let sta_payload = encode_sta(&(outcome.timing.clone(), power), &PointData::default());
-        let ((timing, power2), _) = decode_sta(&sta_payload).expect("sta decode");
-        assert_eq!(timing, outcome.timing);
-        assert_eq!(power2.clock_mw, 0.75);
-        assert_eq!(
-            encode_sta(&(timing, power2), &PointData::default()),
-            sta_payload
-        );
-    }
-
-    #[test]
-    fn point_data_round_trips() {
+        // A captured trace with all four attribute kinds and every metric
+        // kind.
         let (_, data) = ffet_obs::capture(|| {
-            let root = ffet_obs::span("flow.synth").attr("k", "v");
+            let root = ffet_obs::span("flow.synth")
+                .attr("k", "v")
+                .attr("n", -3_i64)
+                .attr("x", 0.5)
+                .attr("ok", true);
             ffet_obs::counter_add("c", 3);
             ffet_obs::gauge_set("g", 1.5);
             ffet_obs::observe("h", 0.25);
@@ -2413,13 +1951,176 @@ mod tests {
         });
         let mut stripped = data.clone();
         ffet_obs::strip_point_timing(&mut stripped);
+        round_trip_eq(&stripped);
+
+        // Every stage artifact of a real counter flow, as stored: each
+        // payload re-encodes to its stored bytes, and each artifact
+        // matches the live outcome of the flow that stored it.
+        let (outcome, library, payloads) = counter_flow("round-trip");
+        let payload = |stage: Stage| {
+            let found = payloads.iter().find(|(s, _)| s == stage.name());
+            found.expect("one payload per stage").1.as_str()
+        };
+        let stored = payload(Stage::Synth);
+        let (netlist, data) = decode_synth(stored).expect("synth decode");
+        assert_eq!(encode_synth(&netlist, &data), stored);
+        round_trip_eq(&data);
+        let back = round_trip(&netlist);
+        assert_eq!(back.name(), netlist.name());
+        assert_eq!(back.instances().len(), netlist.instances().len());
+        back.check_consistency(&library).expect("consistent");
+
+        let stored = payload(Stage::Pnr);
+        let (value, data) = decode_pnr(stored).expect("pnr decode");
+        assert_eq!(encode_pnr(&value, &data), stored);
+        let (_, pnr) = round_trip(&value);
+        assert_eq!(pnr.routing.wirelength_nm, outcome.pnr.routing.wirelength_nm);
+        assert_eq!(pnr.front_def, outcome.pnr.front_def);
+        assert_eq!(pnr.back_def, outcome.pnr.back_def);
+        assert_eq!(pnr.placement, outcome.pnr.placement);
+
+        let stored = payload(Stage::Merge);
+        let (merged, data) = decode_merge(stored).expect("merge decode");
+        assert_eq!(encode_merge(&merged, &data), stored);
+        assert_eq!(merged, outcome.merged_def);
+        round_trip_eq(&merged);
+
+        let stored = payload(Stage::Signoff);
+        let (signoff, data) = decode_signoff_payload(stored).expect("signoff decode");
+        assert_eq!(encode_signoff_payload(&signoff, &data), stored);
+        assert_eq!(signoff, outcome.signoff);
+        round_trip_eq(&signoff);
+
+        let stored = payload(Stage::Rcx);
+        let (parasitics, data) = decode_rcx(stored).expect("rcx decode");
+        assert_eq!(encode_rcx(&parasitics, &data), stored);
+        assert_eq!(parasitics, outcome.parasitics);
+        assert!(parasitics.iter().any(Option::is_none), "a None slot");
+        round_trip_eq(&parasitics);
+
+        let stored = payload(Stage::Sta);
+        let (value, data) = decode_sta(stored).expect("sta decode");
+        assert_eq!(encode_sta(&value, &data), stored);
+        round_trip_eq(&value);
+        let (timing, power) = value;
+        assert_eq!(timing, outcome.timing);
+        assert_eq!(power.clock_mw, outcome.report.clock_mw);
+        assert_eq!(power.leakage_mw, outcome.report.leakage_mw);
+        assert_eq!(power.total_mw(), outcome.report.power_mw);
+    }
+
+    /// Whether `T` decodes from exactly the tokens `write` emits.
+    fn accepts<T: Codec>(write: impl FnOnce(&mut Enc)) -> bool {
         let mut e = Enc::new("t");
-        enc_point_data(&mut e, &stripped);
+        write(&mut e);
         let text = e.finish();
         let mut d = Dec::new(&text, "t").expect("tag");
-        let decoded = dec_point_data(&mut d).expect("decode");
-        assert!(d.done());
-        assert_eq!(decoded, stripped);
+        T::dec(&mut d).is_some() && d.done()
+    }
+
+    #[test]
+    fn well_formed_tokens_outside_the_grammar_are_rejected() {
+        // Each rejected stream sits next to an accepted neighbour, so a
+        // rejection is the rule under test and not a malformed stream.
+        let attr = |tag: u64| {
+            move |e: &mut Enc| {
+                e.u(tag);
+                e.b(true);
+            }
+        };
+        assert!(accepts::<AttrValue>(attr(3)));
+        assert!(!accepts::<AttrValue>(attr(4)), "attribute tag 4");
+        assert!(accepts::<bool>(|e| e.u(1)));
+        assert!(!accepts::<bool>(|e| e.u(2)), "bool token 2");
+        assert!(!accepts::<Side>(|e| e.u(2)), "flag token 2");
+
+        // A histogram followed by one more `u64`, given N + 1 values after
+        // its bucket count: only a count of exactly N splits them.
+        let n = Histogram::default().buckets.len() as u64;
+        let histogram = |count: u64| {
+            move |e: &mut Enc| {
+                e.u(1);
+                e.f(0.5);
+                e.f(0.5);
+                e.f(0.5);
+                e.u(count);
+                for v in 0..=n {
+                    e.u(v);
+                }
+            }
+        };
+        assert!(accepts::<(Histogram, u64)>(histogram(n)));
+        assert!(
+            !accepts::<(Histogram, u64)>(histogram(n - 1)),
+            "N - 1 buckets"
+        );
+        assert!(
+            !accepts::<(Histogram, u64)>(histogram(n + 1)),
+            "N + 1 buckets"
+        );
+
+        let layer = |index: u64| {
+            move |e: &mut Enc| {
+                e.b(true);
+                e.u(index);
+            }
+        };
+        assert!(accepts::<LayerId>(layer(255)));
+        assert!(!accepts::<LayerId>(layer(256)), "layer index 256");
+        let gcell = |x: u64| {
+            move |e: &mut Enc| {
+                e.u(x);
+                e.u(7);
+                e.b(false);
+                e.f(1.0);
+                e.f(2.0);
+            }
+        };
+        type Gcell = (u16, u16, Side, f64, f64);
+        assert!(accepts::<Gcell>(gcell(65_535)));
+        assert!(!accepts::<Gcell>(gcell(65_536)), "gcell coordinate 65536");
+        assert!(accepts::<NetId>(|e| e.u(u64::from(u32::MAX))));
+        assert!(!accepts::<NetId>(|e| e.u(1 << 32)), "id 2^32");
+
+        let seq = |count: u64| {
+            move |e: &mut Enc| {
+                e.u(count);
+                e.u(1);
+                e.u(2);
+            }
+        };
+        assert!(accepts::<Vec<u64>>(seq(2)));
+        assert!(!accepts::<Vec<u64>>(seq(5)), "count past the input");
+
+        // Whole payloads: a synth payload whose two nets are named `a` and
+        // `b`, then one whose nets are both `a`.
+        let synth = |second: &str| {
+            let net = |name: &str| Net {
+                name: name.to_owned(),
+                driver: None,
+                sinks: Vec::new(),
+                is_clock: false,
+            };
+            let mut e = Enc::new(Stage::Synth.name());
+            "d".enc(&mut e);
+            e.u(0);
+            [net("a"), net(second)].enc(&mut e);
+            e.u(0);
+            PointData::default().enc(&mut e);
+            e.finish()
+        };
+        let payload = synth("b");
+        assert!(decode_synth(&payload).is_some());
+        assert!(decode_synth(&synth("a")).is_none(), "duplicate net names");
+        assert!(
+            decode_synth(&format!("{payload}0 ")).is_none(),
+            "trailing token"
+        );
+        assert!(decode_merge(&payload).is_none(), "wrong stage tag");
+        let (version, rest) = payload.split_once(' ').expect("version token");
+        assert_eq!(version, PAYLOAD_VERSION.to_string());
+        let next = format!("{} {rest}", PAYLOAD_VERSION + 1);
+        assert!(decode_synth(&next).is_none(), "PAYLOAD_VERSION + 1");
     }
 
     #[test]
