@@ -1918,9 +1918,9 @@ mod tests {
     }
 
     #[test]
-    fn payload_types_round_trip_byte_exactly() {
-        // Scalar edge cases. Floats compare by bits: `-0.0 == 0.0` and
-        // NaN payload bits are invisible to `==`.
+    fn codec_scalars_round_trip() {
+        // Floats compare by bits: `-0.0 == 0.0` and NaN payload bits are
+        // invisible to `==`.
         round_trip_eq(&0u64);
         round_trip_eq(&u64::MAX);
         round_trip_eq(&-42i64);
@@ -1933,7 +1933,10 @@ mod tests {
         for s in ["", "hello world:with 3 tokens", " ", ":", "日本語 🦀:7 "] {
             round_trip_eq(&s.to_owned());
         }
+    }
 
+    #[test]
+    fn point_data_round_trips() {
         // A captured trace with all four attribute kinds and every metric
         // kind.
         let (_, data) = ffet_obs::capture(|| {
@@ -1952,16 +1955,19 @@ mod tests {
         let mut stripped = data.clone();
         ffet_obs::strip_point_timing(&mut stripped);
         round_trip_eq(&stripped);
+    }
 
-        // Every stage artifact of a real counter flow, as stored: each
-        // payload re-encodes to its stored bytes, and each artifact
-        // matches the live outcome of the flow that stored it.
-        let (outcome, library, payloads) = counter_flow("round-trip");
-        let payload = |stage: Stage| {
-            let found = payloads.iter().find(|(s, _)| s == stage.name());
-            found.expect("one payload per stage").1.as_str()
-        };
-        let stored = payload(Stage::Synth);
+    /// The stored payload of `stage` among `counter_flow`'s payloads.
+    fn stored(payloads: &[(String, String)], stage: Stage) -> &str {
+        let found = payloads.iter().find(|(s, _)| s == stage.name());
+        found.expect("one payload per stage").1.as_str()
+    }
+
+    #[test]
+    fn netlist_payload_round_trips_byte_exactly() {
+        // The post-synth netlist of a real counter flow, as stored.
+        let (_, library, payloads) = counter_flow("round-trip-synth");
+        let stored = stored(&payloads, Stage::Synth);
         let (netlist, data) = decode_synth(stored).expect("synth decode");
         assert_eq!(encode_synth(&netlist, &data), stored);
         round_trip_eq(&data);
@@ -1969,38 +1975,46 @@ mod tests {
         assert_eq!(back.name(), netlist.name());
         assert_eq!(back.instances().len(), netlist.instances().len());
         back.check_consistency(&library).expect("consistent");
+    }
 
-        let stored = payload(Stage::Pnr);
-        let (value, data) = decode_pnr(stored).expect("pnr decode");
-        assert_eq!(encode_pnr(&value, &data), stored);
+    #[test]
+    fn full_stage_payloads_round_trip_through_a_real_flow() {
+        // Every later stage artifact of a real counter flow, as stored:
+        // each payload re-encodes to its stored bytes, and each artifact
+        // matches the live outcome of the flow that stored it.
+        let (outcome, _, payloads) = counter_flow("round-trip");
+        let stored = |stage| stored(&payloads, stage);
+
+        let (value, data) = decode_pnr(stored(Stage::Pnr)).expect("pnr decode");
+        assert_eq!(encode_pnr(&value, &data), stored(Stage::Pnr));
         let (_, pnr) = round_trip(&value);
         assert_eq!(pnr.routing.wirelength_nm, outcome.pnr.routing.wirelength_nm);
         assert_eq!(pnr.front_def, outcome.pnr.front_def);
         assert_eq!(pnr.back_def, outcome.pnr.back_def);
         assert_eq!(pnr.placement, outcome.pnr.placement);
 
-        let stored = payload(Stage::Merge);
-        let (merged, data) = decode_merge(stored).expect("merge decode");
-        assert_eq!(encode_merge(&merged, &data), stored);
+        let (merged, data) = decode_merge(stored(Stage::Merge)).expect("merge decode");
+        assert_eq!(encode_merge(&merged, &data), stored(Stage::Merge));
         assert_eq!(merged, outcome.merged_def);
         round_trip_eq(&merged);
 
-        let stored = payload(Stage::Signoff);
-        let (signoff, data) = decode_signoff_payload(stored).expect("signoff decode");
-        assert_eq!(encode_signoff_payload(&signoff, &data), stored);
+        let (signoff, data) =
+            decode_signoff_payload(stored(Stage::Signoff)).expect("signoff decode");
+        assert_eq!(
+            encode_signoff_payload(&signoff, &data),
+            stored(Stage::Signoff)
+        );
         assert_eq!(signoff, outcome.signoff);
         round_trip_eq(&signoff);
 
-        let stored = payload(Stage::Rcx);
-        let (parasitics, data) = decode_rcx(stored).expect("rcx decode");
-        assert_eq!(encode_rcx(&parasitics, &data), stored);
+        let (parasitics, data) = decode_rcx(stored(Stage::Rcx)).expect("rcx decode");
+        assert_eq!(encode_rcx(&parasitics, &data), stored(Stage::Rcx));
         assert_eq!(parasitics, outcome.parasitics);
         assert!(parasitics.iter().any(Option::is_none), "a None slot");
         round_trip_eq(&parasitics);
 
-        let stored = payload(Stage::Sta);
-        let (value, data) = decode_sta(stored).expect("sta decode");
-        assert_eq!(encode_sta(&value, &data), stored);
+        let (value, data) = decode_sta(stored(Stage::Sta)).expect("sta decode");
+        assert_eq!(encode_sta(&value, &data), stored(Stage::Sta));
         round_trip_eq(&value);
         let (timing, power) = value;
         assert_eq!(timing, outcome.timing);
