@@ -2,8 +2,10 @@
 //! point runs once through `run_flow` with a scratch stage cache; then,
 //! for each of its six stored payloads, the bench times
 //! `StageCache::lookup` (read the blob and re-hash its address), the
-//! stage's `decode_*` (dropping the value included) and its `encode_*` on
-//! the decoded value. Medians, payload bytes and MB/s land in
+//! stage's `decode_*` (dropping the value included), its `encode_*` on
+//! the decoded value, and `StageCache::probe`: what a `run_flow` stage
+//! does on a hit, reading the blob and decoding it while checking its
+//! address. Medians, payload bytes and MB/s land in
 //! `results/BENCH_stage_codec.json` with `host_cores`.
 
 use ffet_bench::BenchGroup;
@@ -14,13 +16,14 @@ use ffet_tech::{RoutingPattern, TechKind};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// One stage's payload size and median lookup/decode/encode times.
+/// One stage's payload size and median lookup/decode/encode/hit times.
 struct Row {
     stage: &'static str,
     bytes: usize,
     lookup: Duration,
     decode: Duration,
     encode: Duration,
+    hit: Duration,
 }
 
 /// Times one stored payload; returns its address (the next key's input).
@@ -39,15 +42,22 @@ fn time_stage<T>(
         .expect("the RV32 point stored every stage");
     let (value, data) = decode(&body).expect("a stored payload decodes");
     assert_eq!(encode(&value, &data), body, "{name}: re-encoding drifted");
+    assert_eq!(
+        cache.probe(key, stage),
+        Some(addr.clone()),
+        "{name}: no hit"
+    );
     let lookup = group.bench_function_timed(&format!("{name}.lookup"), || cache.lookup(key));
     let decode = group.bench_function_timed(&format!("{name}.decode"), || decode(&body));
     let encode = group.bench_function_timed(&format!("{name}.encode"), || encode(&value, &data));
+    let hit = group.bench_function_timed(&format!("{name}.hit"), || cache.probe(key, stage));
     rows.push(Row {
         stage: name,
         bytes: body.len(),
         lookup,
         decode,
         encode,
+        hit,
     });
     addr
 }
@@ -154,6 +164,7 @@ fn main() {
         lookup: rows.iter().map(|r| r.lookup).sum(),
         decode: rows.iter().map(|r| r.decode).sum(),
         encode: rows.iter().map(|r| r.encode).sum(),
+        hit: rows.iter().map(|r| r.hit).sum(),
     };
     let stages: Vec<String> = rows.iter().map(row_json).collect();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -179,6 +190,7 @@ fn row_json(row: &Row) -> String {
         ("lookup", row.lookup),
         ("decode", row.decode),
         ("encode", row.encode),
+        ("hit", row.hit),
     ] {
         let ms = d.as_secs_f64() * 1e3;
         let mb_s = row.bytes as f64 / 1e6 / d.as_secs_f64().max(1e-9);

@@ -259,9 +259,9 @@ impl From<PnrError> for FlowError {
 /// match `config.tech` and `config.back_pin_ratio`).
 ///
 /// The body is an explicit stage DAG ([`crate::stagecache::Stage`]): each
-/// stage runs through [`crate::stagecache::run_stage`], which either
-/// replays a memoized artifact (when `config.stage_cache` is set and the
-/// stage's input key hits) or computes it inline. With the cache off the
+/// stage runs through the crate's stage runner (`stagecache::run_stage`),
+/// which either replays a memoized artifact (when `config.stage_cache` is
+/// set and the stage's input key hits) or computes it inline. With the cache off the
 /// event stream and artifacts are byte-identical to the pre-cache flow;
 /// with it on, only wall clock and the `cached` span attribute change.
 ///
@@ -320,13 +320,8 @@ pub fn run_flow(
     // `back_pin_ratio` and `seed` (synthesis never sees pin geometry), so
     // every point of a BP/seed axis shares one entry.
     let synth_cache_key = cache.map(|_| stagecache::synth_key(config, netlist));
-    let (netlist, synth_addr) = run_stage::<_, FlowError>(
-        cache,
-        synth_cache_key,
-        stagecache::Stage::Synth.name(),
-        stagecache::encode_synth,
-        stagecache::decode_synth,
-        || {
+    let (netlist, synth_addr) =
+        run_stage::<_, FlowError>(cache, synth_cache_key, stagecache::Stage::Synth, || {
             let mut netlist = netlist.clone();
             let sp = ffet_obs::span("flow.synth");
             synthesize(
@@ -338,8 +333,7 @@ pub fn run_flow(
             sp.close();
             ffet_obs::gauge_set("flow.cells", netlist.instances().len() as f64);
             Ok(netlist)
-        },
-    )?;
+        })?;
     faults.maybe_panic(FlowStage::Synth);
     check_deadline(FlowStage::Synth)?;
 
@@ -367,13 +361,8 @@ pub fn run_flow(
     let pnr_cache_key = synth_addr
         .as_deref()
         .map(|a| stagecache::pnr_key(config, a));
-    let ((mut netlist, mut pnr), pnr_addr) = run_stage::<_, FlowError>(
-        cache,
-        pnr_cache_key,
-        stagecache::Stage::Pnr.name(),
-        stagecache::encode_pnr,
-        stagecache::decode_pnr,
-        || {
+    let ((mut netlist, mut pnr), pnr_addr) =
+        run_stage::<_, FlowError>(cache, pnr_cache_key, stagecache::Stage::Pnr, || {
             let mut netlist = netlist;
             let sp = ffet_obs::span("flow.pnr");
             let pnr = match run_pnr(&mut netlist, library, &pnr_config) {
@@ -385,8 +374,7 @@ pub fn run_flow(
             };
             sp.close();
             Ok((netlist, pnr))
-        },
-    )?;
+        })?;
     faults.maybe_panic(FlowStage::Pnr);
     check_deadline(FlowStage::Pnr)?;
     if !faults.is_empty() {
@@ -399,9 +387,7 @@ pub fn run_flow(
     let (mut merged_def, merge_addr) = run_stage::<_, FlowError>(
         cache,
         pnr_addr.as_deref().map(stagecache::merge_key),
-        stagecache::Stage::Merge.name(),
-        stagecache::encode_merge,
-        stagecache::decode_merge,
+        stagecache::Stage::Merge,
         || {
             let sp = ffet_obs::span("flow.merge");
             let merged = merge_defs(&pnr.front_def, &pnr.back_def)
@@ -426,13 +412,8 @@ pub fn run_flow(
         (Some(p), Some(m)) => Some(stagecache::signoff_key(config, p, m)),
         _ => None,
     };
-    let (signoff, _signoff_addr) = run_stage::<_, FlowError>(
-        cache,
-        signoff_cache_key,
-        stagecache::Stage::Signoff.name(),
-        stagecache::encode_signoff_payload,
-        stagecache::decode_signoff_payload,
-        || {
+    let (signoff, _signoff_addr) =
+        run_stage::<_, FlowError>(cache, signoff_cache_key, stagecache::Stage::Signoff, || {
             let mut sp = ffet_obs::span("flow.signoff");
             let signoff = run_signoff(&netlist, library, config.pattern, &pnr, &merged_def);
             sp.set_attr("errors", signoff.error_count());
@@ -445,27 +426,20 @@ pub fn run_flow(
             }
             sp.close();
             Ok(signoff)
-        },
-    )?;
+        })?;
 
     // Dual-sided RC extraction from the merged DEF.
     let rcx_cache_key = match (pnr_addr.as_deref(), merge_addr.as_deref()) {
         (Some(p), Some(m)) => Some(stagecache::rcx_key(config, p, m)),
         _ => None,
     };
-    let (parasitics, rcx_addr) = run_stage::<_, FlowError>(
-        cache,
-        rcx_cache_key,
-        stagecache::Stage::Rcx.name(),
-        |parasitics, data| stagecache::encode_rcx(parasitics, data),
-        stagecache::decode_rcx,
-        || {
+    let (parasitics, rcx_addr) =
+        run_stage::<_, FlowError>(cache, rcx_cache_key, stagecache::Stage::Rcx, || {
             let sp = ffet_obs::span("flow.rcx");
             let parasitics = extract_all(&netlist, library, &pnr, &merged_def);
             sp.close();
             Ok(parasitics)
-        },
-    )?;
+        })?;
 
     // STA + power at the achieved frequency.
     let sta_config = StaConfig {
@@ -477,13 +451,8 @@ pub fn run_flow(
         (Some(p), Some(r)) => Some(stagecache::sta_key(config, p, r)),
         _ => None,
     };
-    let ((timing, power), _sta_addr) = run_stage::<_, FlowError>(
-        cache,
-        sta_cache_key,
-        stagecache::Stage::Sta.name(),
-        stagecache::encode_sta,
-        stagecache::decode_sta,
-        || {
+    let ((timing, power), _sta_addr) =
+        run_stage::<_, FlowError>(cache, sta_cache_key, stagecache::Stage::Sta, || {
             let sp = ffet_obs::span("flow.sta");
             let timing = analyze_timing(&netlist, library, &parasitics, &sta_config)
                 .map_err(|e| FlowError::CombLoop(e.instance))?;
@@ -502,8 +471,7 @@ pub fn run_flow(
             );
             sp.close();
             Ok((timing, power))
-        },
-    )?;
+        })?;
 
     let report = PpaReport {
         tech: library.tech().to_string(),

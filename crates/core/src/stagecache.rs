@@ -34,7 +34,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::ckpt::{atomic_write_unique, fnv1a64, hash_hex};
+use crate::ckpt::{atomic_write_unique, fnv1a64, fnv1a64_fold, hash_hex, FNV1A64_START};
 use crate::flow::FlowConfig;
 use ffet_cells::CellId;
 use ffet_geom::{Orientation, Point, Rect};
@@ -153,27 +153,75 @@ impl Stage {
 // The scalar writers and readers work on bytes: no `core::fmt` on the way
 // out, one pass per token on the way in (DESIGN §14.5). They accept exactly
 // the token forms `str::parse`/`u64::from_str_radix` accept; the tests
-// against the `reference` oracle at the end of this file pin that.
+// against the `reference` oracle at the end of this file pin that. Both
+// can fold every byte they write or consume into an FNV-1a state ([`Fold`]),
+// so the stage runner hashes a payload in the pass that encodes or decodes
+// it.
 //
 // Above the scalars, every payload type implements [`Codec`] once: its
 // `enc` and `dec` walk the same token order, so a type's payload grammar is
 // written in one place (DESIGN §14.2).
 
+/// What [`Enc`] and [`Dec`] do with each token's bytes, in order: fold
+/// them into an FNV-1a state (`u64`, the content address the stage runner
+/// stores under and checks), or nothing (`()`, for the public
+/// `encode_*`/`decode_*`).
+pub(crate) trait Fold: Copy {
+    /// The state before any byte.
+    const START: Self;
+
+    fn fold(self, bytes: &[u8]) -> Self;
+}
+
+impl Fold for u64 {
+    const START: u64 = FNV1A64_START;
+
+    #[inline(always)]
+    fn fold(self, bytes: &[u8]) -> u64 {
+        fnv1a64_fold(self, bytes)
+    }
+}
+
+impl Fold for () {
+    const START: () = ();
+
+    #[inline(always)]
+    fn fold(self, _: &[u8]) {}
+}
+
 /// Canonical payload encoder.
-struct Enc {
+pub(crate) struct Enc<H: Fold = u64> {
     buf: Vec<u8>,
+    /// `buf`, folded in as it is written.
+    hash: H,
 }
 
 /// Lowercase hex digit of each nibble value.
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-impl Enc {
+impl<H: Fold> Enc<H> {
+    /// An encoder with nothing written.
+    fn empty() -> Enc<H> {
+        Enc {
+            buf: Vec::new(),
+            hash: H::START,
+        }
+    }
+
     /// Starts a payload for `stage` (version + stage tag prefix).
-    fn new(stage: &str) -> Enc {
-        let mut e = Enc { buf: Vec::new() };
+    fn new(stage: &str) -> Enc<H> {
+        let mut e = Enc::empty();
         e.u(PAYLOAD_VERSION);
         e.s(stage);
         e
+    }
+
+    /// Appends `bytes` and folds them into the hash; every writer goes
+    /// through here.
+    #[inline(always)]
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+        self.hash = self.hash.fold(bytes);
     }
 
     #[inline(always)]
@@ -184,13 +232,13 @@ impl Enc {
     #[inline(always)]
     fn i(&mut self, v: i64) {
         if v < 0 {
-            self.buf.push(b'-');
+            self.put(b"-");
         }
         self.decimal(v.unsigned_abs(), b' ');
     }
 
     fn i128v(&mut self, v: i128) {
-        let _ = write!(self.buf, "{v} ");
+        self.put(format!("{v} ").as_bytes());
     }
 
     #[inline(always)]
@@ -200,7 +248,7 @@ impl Enc {
         for (k, slot) in token[..16].iter_mut().enumerate() {
             *slot = HEX_DIGITS[(bits >> (60 - 4 * k) & 0xF) as usize];
         }
-        self.buf.extend_from_slice(&token);
+        self.put(&token);
     }
 
     #[inline(always)]
@@ -211,8 +259,8 @@ impl Enc {
     #[inline(always)]
     fn s(&mut self, v: &str) {
         self.decimal(v.len() as u64, b':');
-        self.buf.extend_from_slice(v.as_bytes());
-        self.buf.push(b' ');
+        self.put(v.as_bytes());
+        self.put(b" ");
     }
 
     /// Appends `v`'s decimal digits, then `end`.
@@ -228,7 +276,7 @@ impl Enc {
                 break;
             }
         }
-        self.buf.extend_from_slice(&token[start..]);
+        self.put(&token[start..]);
     }
 
     /// The finished payload body.
@@ -258,6 +306,45 @@ fn digits(bytes: &[u8], from: usize, stop: u8, radix: u32) -> Option<(u64, usize
         at += 1;
     }
     (at > from).then_some((value, at))
+}
+
+/// [`digits`] in radix 10, trying [`short_decimal`] first.
+#[inline(always)]
+fn decimal(bytes: &[u8], from: usize, stop: u8) -> Option<(u64, usize)> {
+    match bytes.get(from..).and_then(|rest| short_decimal(rest, stop)) {
+        Some((value, len)) => Some((value, from + len)),
+        None => digits(bytes, from, stop, 10),
+    }
+}
+
+/// A token of one to seven decimal digits and then `stop`, read as one
+/// little-endian word: its value and digit count. `None` for any other
+/// shape (a sign, eight or more digits, another terminator, fewer than
+/// eight bytes), which [`decimal`] leaves to [`digits`]; where this
+/// returns a value, it is the one `digits` returns.
+#[inline(always)]
+fn short_decimal(bytes: &[u8], stop: u8) -> Option<(u64, usize)> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = ONES * 0x80;
+    let w = u64::from_le_bytes(*bytes.first_chunk::<8>()?);
+    // A digit byte sets neither top bit: `b - 0x30` does not borrow and
+    // `b + 0x46` stays below 0x80. Any other byte sets one of them, so
+    // the lowest flag is the first non-digit. Bytes above it may be
+    // flagged wrongly by its borrow or carry, and are never read.
+    let values = w.wrapping_sub(ONES * u64::from(b'0'));
+    let flags = (values | w.wrapping_add(ONES * 0x46)) & HIGH;
+    let len = (flags.trailing_zeros() / 8) as usize;
+    if len == 0 || len == 8 || (w >> (8 * len)) as u8 != stop {
+        return None;
+    }
+    // The digits, most significant first in the low bytes, move to the
+    // top of the word behind zero bytes (leading zeros); then pairs,
+    // quads and octets of digits combine.
+    let mut v = values << (64 - 8 * len);
+    v = (v * 10 + (v >> 8)) & 0x00FF_00FF_00FF_00FF;
+    v = (v * 100 + (v >> 16)) & 0x0000_FFFF_0000_FFFF;
+    v = (v * 10_000 + (v >> 32)) & 0xFFFF_FFFF;
+    Some((v, len))
 }
 
 /// The index after an optional leading `+`, where a number's digits start.
@@ -299,38 +386,51 @@ fn hex8(x: u64) -> Option<u64> {
 
 /// Canonical payload decoder; every reader returns `None` on malformed
 /// input (the caller treats the payload as a miss).
-struct Dec<'a> {
+pub(crate) struct Dec<'a, H: Fold = u64> {
     rest: &'a str,
+    /// The consumed input, folded in as it is consumed.
+    hash: H,
 }
 
-impl<'a> Dec<'a> {
+impl<'a, H: Fold> Dec<'a, H> {
+    /// A decoder at the start of `text`, with nothing consumed.
+    fn raw(text: &'a str) -> Dec<'a, H> {
+        Dec {
+            rest: text,
+            hash: H::START,
+        }
+    }
+
     /// Opens a payload, validating the version + stage tag prefix.
-    fn new(text: &'a str, stage: &str) -> Option<Dec<'a>> {
-        let mut d = Dec { rest: text };
+    fn new(text: &'a str, stage: &str) -> Option<Dec<'a, H>> {
+        let mut d = Dec::raw(text);
         if d.u()? != PAYLOAD_VERSION || d.s()? != stage {
             return None;
         }
         Some(d)
     }
 
-    /// Consumes the input through the terminator at byte index `stop`.
+    /// Consumes the input through the terminator at byte index `stop`,
+    /// folding it into the hash; every reader goes through here.
     #[inline(always)]
     fn skip_past(&mut self, stop: usize) -> Option<()> {
-        self.rest = self.rest.get(stop + 1..)?;
+        let (token, rest) = self.rest.split_at_checked(stop.checked_add(1)?)?;
+        self.hash = self.hash.fold(token.as_bytes());
+        self.rest = rest;
         Some(())
     }
 
     fn token(&mut self) -> Option<&'a str> {
         let sp = self.rest.find(' ')?;
-        let tok = &self.rest[..sp];
-        self.rest = &self.rest[sp + 1..];
+        let tok = self.rest.get(..sp)?;
+        self.skip_past(sp)?;
         Some(tok)
     }
 
     #[inline(always)]
     fn u(&mut self) -> Option<u64> {
         let bytes = self.rest.as_bytes();
-        let (v, stop) = digits(bytes, after_plus(bytes), b' ', 10)?;
+        let (v, stop) = decimal(bytes, after_plus(bytes), b' ')?;
         self.skip_past(stop)?;
         Some(v)
     }
@@ -340,7 +440,7 @@ impl<'a> Dec<'a> {
         let bytes = self.rest.as_bytes();
         let negative = bytes.first() == Some(&b'-');
         let from = if negative { 1 } else { after_plus(bytes) };
-        let (magnitude, stop) = digits(bytes, from, b' ', 10)?;
+        let (magnitude, stop) = decimal(bytes, from, b' ')?;
         let v = if negative {
             0i64.checked_sub_unsigned(magnitude)?
         } else {
@@ -377,7 +477,7 @@ impl<'a> Dec<'a> {
     #[inline(always)]
     fn s(&mut self) -> Option<&'a str> {
         let bytes = self.rest.as_bytes();
-        let (len, colon) = digits(bytes, after_plus(bytes), b':', 10)?;
+        let (len, colon) = decimal(bytes, after_plus(bytes), b':')?;
         let start = colon + 1;
         let end = start.checked_add(usize::try_from(len).ok()?)?;
         if bytes.get(end) != Some(&b' ') {
@@ -406,10 +506,10 @@ impl<'a> Dec<'a> {
 /// A payload type: `enc` writes its tokens and `dec` reads them back in
 /// the same order, returning `None` on anything `enc` could not have
 /// written.
-trait Codec {
-    fn enc(&self, e: &mut Enc);
+pub(crate) trait Codec {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>);
 
-    fn dec(d: &mut Dec<'_>) -> Option<Self>
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self>
     where
         Self: Sized;
 }
@@ -419,12 +519,12 @@ macro_rules! scalar_codec {
     ($($ty:ty => $method:ident),+) => {$(
         impl Codec for $ty {
             #[inline(always)]
-            fn enc(&self, e: &mut Enc) {
+            fn enc<H: Fold>(&self, e: &mut Enc<H>) {
                 e.$method(*self);
             }
 
             #[inline(always)]
-            fn dec(d: &mut Dec<'_>) -> Option<Self> {
+            fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
                 d.$method()
             }
         }
@@ -438,12 +538,12 @@ macro_rules! narrow_codec {
     ($($ty:ty),+) => {$(
         impl Codec for $ty {
             #[inline(always)]
-            fn enc(&self, e: &mut Enc) {
+            fn enc<H: Fold>(&self, e: &mut Enc<H>) {
                 e.u(*self as u64);
             }
 
             #[inline(always)]
-            fn dec(d: &mut Dec<'_>) -> Option<Self> {
+            fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
                 Self::try_from(d.u()?).ok()
             }
         }
@@ -457,12 +557,12 @@ macro_rules! id_codec {
     ($($ty:ident),+) => {$(
         impl Codec for $ty {
             #[inline(always)]
-            fn enc(&self, e: &mut Enc) {
+            fn enc<H: Fold>(&self, e: &mut Enc<H>) {
                 self.0.enc(e);
             }
 
             #[inline(always)]
-            fn dec(d: &mut Dec<'_>) -> Option<Self> {
+            fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
                 u32::dec(d).map($ty)
             }
         }
@@ -476,12 +576,12 @@ macro_rules! flag_codec {
     ($($ty:ident: $set:ident | $clear:ident),+) => {$(
         impl Codec for $ty {
             #[inline(always)]
-            fn enc(&self, e: &mut Enc) {
+            fn enc<H: Fold>(&self, e: &mut Enc<H>) {
                 e.b(*self == $ty::$set);
             }
 
             #[inline(always)]
-            fn dec(d: &mut Dec<'_>) -> Option<Self> {
+            fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
                 Some(if d.b()? { $ty::$set } else { $ty::$clear })
             }
         }
@@ -497,49 +597,40 @@ flag_codec!(
 
 impl Codec for str {
     #[inline(always)]
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         e.s(self);
     }
 }
 
 impl Codec for String {
     #[inline(always)]
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         e.s(self);
     }
 
     #[inline(always)]
-    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
         d.s().map(str::to_owned)
     }
 }
 
-/// Interner for `Violation::rule`, the one `&'static str` in a payload.
-/// Signoff rule ids form a small closed set, so the leak is bounded by
-/// that set's total size regardless of how many payloads are decoded.
-static RULE_NAMES: Mutex<BTreeMap<String, &'static str>> = Mutex::new(BTreeMap::new());
-
+/// `Violation::rule`, the one `&'static str` in a payload: a signoff rule
+/// id, decoded by lookup in the closed set [`ffet_verify::RULES`]. An
+/// unknown id is a miss.
 impl Codec for &'static str {
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         e.s(self);
     }
 
-    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
         let name = d.s()?;
-        let mut map = RULE_NAMES
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(&interned) = map.get(name) {
-            return Some(interned);
-        }
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        map.insert(name.to_owned(), leaked);
-        Some(leaked)
+        let at = ffet_verify::RULES.binary_search(&name).ok()?;
+        ffet_verify::RULES.get(at).copied()
     }
 }
 
 impl<T: Codec> Codec for Option<T> {
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         match self {
             Some(v) => {
                 e.b(true);
@@ -549,13 +640,13 @@ impl<T: Codec> Codec for Option<T> {
         }
     }
 
-    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
         Some(if d.b()? { Some(T::dec(d)?) } else { None })
     }
 }
 
 impl<T: Codec> Codec for [T] {
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         e.u(self.len() as u64);
         for item in self {
             item.enc(e);
@@ -564,11 +655,11 @@ impl<T: Codec> Codec for [T] {
 }
 
 impl<T: Codec> Codec for Vec<T> {
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         self.as_slice().enc(e);
     }
 
-    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
         let n = d.len()?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -579,7 +670,7 @@ impl<T: Codec> Codec for Vec<T> {
 }
 
 impl<V: Codec> Codec for BTreeMap<String, V> {
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         e.u(self.len() as u64);
         for (key, value) in self {
             key.enc(e);
@@ -587,7 +678,7 @@ impl<V: Codec> Codec for BTreeMap<String, V> {
         }
     }
 
-    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
         let mut out = BTreeMap::new();
         for _ in 0..d.len()? {
             let key = String::dec(d)?;
@@ -599,14 +690,14 @@ impl<V: Codec> Codec for BTreeMap<String, V> {
 
 /// A fixed-size array: its length, which must be `N` on the way in.
 impl<const N: usize> Codec for [u64; N] {
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         e.u(N as u64);
         for &v in self {
             e.u(v);
         }
     }
 
-    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
         if usize::dec(d)? != N {
             return None;
         }
@@ -619,18 +710,18 @@ impl<const N: usize> Codec for [u64; N] {
 }
 
 impl<A: Codec, B: Codec> Codec for (A, B) {
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         self.0.enc(e);
         self.1.enc(e);
     }
 
-    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
         Some((A::dec(d)?, B::dec(d)?))
     }
 }
 
 impl<A: Codec, B: Codec, C: Codec, D: Codec, E: Codec> Codec for (A, B, C, D, E) {
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         self.0.enc(e);
         self.1.enc(e);
         self.2.enc(e);
@@ -638,7 +729,7 @@ impl<A: Codec, B: Codec, C: Codec, D: Codec, E: Codec> Codec for (A, B, C, D, E)
         self.4.enc(e);
     }
 
-    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
         Some((A::dec(d)?, B::dec(d)?, C::dec(d)?, D::dec(d)?, E::dec(d)?))
     }
 }
@@ -651,12 +742,12 @@ macro_rules! struct_codec {
     ($($ty:ident { $($field:ident),+ })+) => {$(
         impl Codec for $ty {
             #[inline]
-            fn enc(&self, e: &mut Enc) {
+            fn enc<H: Fold>(&self, e: &mut Enc<H>) {
                 $(self.$field.enc(e);)+
             }
 
             #[inline(always)]
-            fn dec(d: &mut Dec<'_>) -> Option<Self> {
+            fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
                 Some($ty { $($field: Codec::dec(d)?),+ })
             }
         }
@@ -705,14 +796,14 @@ struct_codec! {
 /// The netlist's fields are private: it is rebuilt through
 /// [`Netlist::from_parts`], which rejects duplicate net names.
 impl Codec for Netlist {
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         self.name().enc(e);
         self.instances().enc(e);
         self.nets().enc(e);
         self.ports().enc(e);
     }
 
-    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
         let name = String::dec(d)?;
         let instances = Vec::dec(d)?;
         let nets = Vec::dec(d)?;
@@ -724,7 +815,7 @@ impl Codec for Netlist {
 /// `start_us`/`dur_us` are wall clock: stripped before storage, not
 /// written, and zero on decode.
 impl Codec for SpanEvent {
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         self.id.enc(e);
         self.parent.enc(e);
         self.depth.enc(e);
@@ -732,7 +823,7 @@ impl Codec for SpanEvent {
         self.attrs.enc(e);
     }
 
-    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
         Some(SpanEvent {
             id: Codec::dec(d)?,
             parent: Codec::dec(d)?,
@@ -747,7 +838,7 @@ impl Codec for SpanEvent {
 
 /// A tag token (0 string, 1 integer, 2 float, 3 bool), then the value.
 impl Codec for AttrValue {
-    fn enc(&self, e: &mut Enc) {
+    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
         match self {
             AttrValue::Str(s) => {
                 e.u(0);
@@ -768,7 +859,7 @@ impl Codec for AttrValue {
         }
     }
 
-    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
         Some(match d.u()? {
             0 => AttrValue::Str(Codec::dec(d)?),
             1 => AttrValue::Int(Codec::dec(d)?),
@@ -786,17 +877,35 @@ impl Codec for AttrValue {
 // A stage payload is the version + stage tag prefix, the stage's artifact,
 // then its captured (timing-stripped) trace.
 
-fn encode<T: Codec + ?Sized>(stage: Stage, value: &T, data: &PointData) -> String {
-    let mut e = Enc::new(stage.name());
+/// A `stage` payload, with its bytes folded into an `H` in the pass that
+/// writes them: with `H = u64`, its content address.
+fn encode_with<H: Fold, T: Codec + ?Sized>(
+    stage: Stage,
+    value: &T,
+    data: &PointData,
+) -> (String, H) {
+    let mut e = Enc::<H>::new(stage.name());
     value.enc(&mut e);
     data.enc(&mut e);
-    e.finish()
+    let hash = e.hash;
+    (e.finish(), hash)
+}
+
+/// A whole `stage` payload, with its bytes folded into an `H` in the pass
+/// that reads them. Decoding requires the payload to be fully consumed,
+/// so every byte is folded exactly once.
+fn decode_with<H: Fold, T: Codec>(stage: Stage, text: &str) -> Option<((T, PointData), H)> {
+    let mut d = Dec::<H>::new(text, stage.name())?;
+    let payload = Codec::dec(&mut d)?;
+    d.done().then_some((payload, d.hash))
+}
+
+fn encode<T: Codec + ?Sized>(stage: Stage, value: &T, data: &PointData) -> String {
+    encode_with::<(), T>(stage, value, data).0
 }
 
 fn decode<T: Codec>(stage: Stage, text: &str) -> Option<(T, PointData)> {
-    let mut d = Dec::new(text, stage.name())?;
-    let payload = Codec::dec(&mut d)?;
-    d.done().then_some(payload)
+    decode_with::<(), T>(stage, text).map(|(payload, ())| payload)
 }
 
 /// Encodes the synth payload: the synthesized netlist plus the stage's
@@ -908,9 +1017,9 @@ pub fn library_sig(config: &FlowConfig) -> String {
 /// seed axis shares one synth entry.
 #[must_use]
 pub fn synth_key(config: &FlowConfig, netlist: &Netlist) -> String {
-    let mut e = Enc::new("synth-input");
+    let mut e = Enc::<u64>::new("synth-input");
     netlist.enc(&mut e);
-    let input_hash = hash_hex(fnv1a64(e.finish().as_bytes()));
+    let input_hash = hash_hex(e.hash);
     format!(
         "sc{PAYLOAD_VERSION}|synth|{:?}|{}|{input_hash}",
         config.tech,
@@ -1008,16 +1117,52 @@ impl StageCache {
             .join(format!("{}.key", hash_hex(fnv1a64(key.as_bytes()))))
     }
 
+    /// The blob address `key`'s link names, if the link exists.
+    fn link(&self, key: &str) -> Option<String> {
+        let addr = fs::read_to_string(self.key_path(key)).ok()?;
+        Some(addr.trim().to_owned())
+    }
+
     /// Looks `key` up: resolves its link, reads the payload blob and
     /// re-verifies the content address. Any failure — missing link,
     /// malformed address, missing blob, hash mismatch (a poisoned object)
     /// — is a miss.
     #[must_use]
     pub fn lookup(&self, key: &str) -> Option<(String, String)> {
-        let addr = fs::read_to_string(self.key_path(key)).ok()?;
-        let addr = addr.trim();
-        let body = valid_blob(&self.root, addr)?;
-        Some((addr.to_owned(), body))
+        let addr = self.link(key)?;
+        let body = valid_blob(&self.root, &addr)?;
+        Some((addr, body))
+    }
+
+    /// The hit path of [`run_stage`]: `key`'s blob, decoded as a `stage`
+    /// payload in the same pass that re-hashes it, with its address. The
+    /// blob must meet the rule of [`valid_blob`], evaluated on the
+    /// decoder's hash; anything else is a miss.
+    fn hit<T: Codec>(&self, key: &str, stage: Stage) -> Option<((T, PointData), String)> {
+        let addr = self.link(key)?;
+        let body = read_blob(&self.root, &addr)?;
+        let (payload, hash) = decode_with::<u64, _>(stage, &body)?;
+        addressed(hash, &addr).then_some((payload, addr))
+    }
+
+    /// Does what a stage of [`crate::run_flow`] does on a hit, short of
+    /// using the value: reads `key`'s blob and decodes it as a `stage`
+    /// payload while checking its address. Returns the address, or `None`
+    /// where the stage would miss. For benches and diagnostics; the
+    /// separate re-hash is [`lookup`](Self::lookup).
+    #[must_use]
+    pub fn probe(&self, key: &str, stage: Stage) -> Option<String> {
+        fn addr<T>(hit: Option<(T, String)>) -> Option<String> {
+            hit.map(|(_, addr)| addr)
+        }
+        match stage {
+            Stage::Synth => addr(self.hit::<Netlist>(key, stage)),
+            Stage::Pnr => addr(self.hit::<(Netlist, PnrResult)>(key, stage)),
+            Stage::Merge => addr(self.hit::<Def>(key, stage)),
+            Stage::Signoff => addr(self.hit::<SignoffReport>(key, stage)),
+            Stage::Rcx => addr(self.hit::<Vec<Option<NetParasitics>>>(key, stage)),
+            Stage::Sta => addr(self.hit::<(TimingReport, PowerReport)>(key, stage)),
+        }
     }
 
     /// Stores `payload` under `key` and returns its content address.
@@ -1028,7 +1173,12 @@ impl StageCache {
     /// a poisoned blob stays a deterministic miss until `gc` removes it.
     #[must_use]
     pub fn store(&self, key: &str, stage: &'static str, payload: &str) -> Option<String> {
-        let addr = hash_hex(fnv1a64(payload.as_bytes()));
+        self.store_at(key, stage, payload, hash_hex(fnv1a64(payload.as_bytes())))
+    }
+
+    /// [`store`](Self::store) with the payload's address already known
+    /// (from the pass that encoded it).
+    fn store_at(&self, key: &str, stage: &str, payload: &str, addr: String) -> Option<String> {
         let blob = blob_path(&self.root, &addr);
         let newly_written = if blob.exists() {
             false
@@ -1064,14 +1214,28 @@ fn blob_path(root: &Path, addr: &str) -> PathBuf {
 }
 
 /// The body of blob `addr`, if the blob is valid: `addr` is 16 hex digits
-/// and the body re-hashes to it. The one validity rule of the store, for
-/// [`StageCache::lookup`], [`verify`] and [`gc`].
+/// and the body re-hashes to it. The one validity rule of the store, in
+/// two halves: [`read_blob`] and [`addressed`]. [`StageCache::lookup`],
+/// [`verify`] and [`gc`] evaluate it here, hashing up front;
+/// [`StageCache::hit`] evaluates the same halves on the hash its decoder
+/// folds.
 fn valid_blob(root: &Path, addr: &str) -> Option<String> {
+    let body = read_blob(root, addr)?;
+    addressed(fnv1a64(body.as_bytes()), addr).then_some(body)
+}
+
+/// The body of blob `addr`, if `addr` is 16 hex digits and the blob reads
+/// as UTF-8. Nothing is checked against the address yet.
+fn read_blob(root: &Path, addr: &str) -> Option<String> {
     if addr.len() != 16 || !addr.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
-    let body = fs::read_to_string(blob_path(root, addr)).ok()?;
-    (hash_hex(fnv1a64(body.as_bytes())) == addr).then_some(body)
+    fs::read_to_string(blob_path(root, addr)).ok()
+}
+
+/// Whether a body with FNV-1a `hash` is the blob named `addr`.
+fn addressed(hash: u64, addr: &str) -> bool {
+    hash_hex(hash) == addr
 }
 
 /// The JSON body of one manifest record.
@@ -1321,18 +1485,21 @@ pub fn gc(root: &Path) -> std::io::Result<GcReport> {
 // The stage runner
 // ---------------------------------------------------------------------------
 
-/// Runs one stage through the cache.
+/// Runs one stage through the cache; `T` is the stage's artifact, and
+/// its [`Codec`] is the payload grammar.
 ///
 /// - `cache`/`key` absent → `compute` runs inline under the ambient
 ///   collector, exactly as an uncached flow would (zero overhead, byte-
 ///   identical event stream).
-/// - Hit → the payload is decoded, its captured trace is
-///   [`ffet_obs::replay`]ed (root spans get `cached=true`; their stored
-///   durations are zero), and the artifact is returned.
+/// - Hit → the payload is decoded in the pass that checks its address
+///   ([`StageCache::hit`]), its captured trace is [`ffet_obs::replay`]ed
+///   (root spans get `cached=true`; their stored durations are zero), and
+///   the artifact is returned.
 /// - Miss → `compute` runs under [`ffet_obs::capture`]; on success the
 ///   capture is replayed (`cached=false`), timing-stripped, encoded and
-///   stored. Errors are replayed but never stored, so failed attempts
-///   (timeouts, dirty signoff) cannot populate the cache.
+///   stored under the hash the encoder took. Errors are replayed but never
+///   stored, so failed attempts (timeouts, dirty signoff) cannot populate
+///   the cache.
 ///
 /// Returns `(artifact, payload_addr)`; the address is `None` when uncached
 /// or when the store failed (downstream stages then skip caching too,
@@ -1341,29 +1508,25 @@ pub fn gc(root: &Path) -> std::io::Result<GcReport> {
 /// # Errors
 ///
 /// Whatever `compute` returns.
-pub fn run_stage<T, E>(
+pub(crate) fn run_stage<T: Codec, E>(
     cache: Option<&StageCache>,
     key: Option<String>,
-    stage: &'static str,
-    encode: impl FnOnce(&T, &PointData) -> String,
-    decode: impl FnOnce(&str) -> Option<(T, PointData)>,
+    stage: Stage,
     compute: impl FnOnce() -> Result<T, E>,
 ) -> Result<(T, Option<String>), E> {
     let (Some(cache), Some(key)) = (cache, key) else {
         return Ok((compute()?, None));
     };
-    if let Some((addr, body)) = cache.lookup(&key) {
-        if let Some((value, data)) = decode(&body) {
-            ffet_obs::cache_event("cache.hit", stage);
-            ffet_obs::replay(
-                &data,
-                ffet_obs::ambient_elapsed_us(),
-                &[("cached".to_owned(), AttrValue::Bool(true))],
-            );
-            return Ok((value, Some(addr)));
-        }
+    if let Some(((value, data), addr)) = cache.hit(&key, stage) {
+        ffet_obs::cache_event("cache.hit", stage.name());
+        ffet_obs::replay(
+            &data,
+            ffet_obs::ambient_elapsed_us(),
+            &[("cached".to_owned(), AttrValue::Bool(true))],
+        );
+        return Ok((value, Some(addr)));
     }
-    ffet_obs::cache_event("cache.miss", stage);
+    ffet_obs::cache_event("cache.miss", stage.name());
     let offset_us = ffet_obs::ambient_elapsed_us();
     let (result, mut data) = ffet_obs::capture(compute);
     ffet_obs::replay(
@@ -1373,10 +1536,10 @@ pub fn run_stage<T, E>(
     );
     let value = result?;
     ffet_obs::strip_point_timing(&mut data);
-    let payload = encode(&value, &data);
-    let addr = cache.store(&key, stage, &payload);
+    let (payload, hash) = encode_with::<u64, _>(stage, &value, &data);
+    let addr = cache.store_at(&key, stage.name(), &payload, hash_hex(hash));
     if addr.is_some() {
-        ffet_obs::cache_event("cache.store", stage);
+        ffet_obs::cache_event("cache.store", stage.name());
     }
     Ok((value, addr))
 }
@@ -1553,7 +1716,7 @@ mod tests {
     /// reader, except that one read in `random_one_in` (none if 0) is
     /// drawn at random. Returns the bytes left unread.
     fn differential_walk(text: &str, rng: &mut Rng64, calls: usize, random_one_in: u64) -> usize {
-        let mut new = Dec { rest: text };
+        let mut new = Dec::raw(text);
         let mut old = reference::Dec { rest: text };
         for _ in 0..calls {
             let read = if random_one_in > 0 && rng.next_u64().is_multiple_of(random_one_in) {
@@ -1587,21 +1750,32 @@ mod tests {
         let (mut config, library, netlist) = small_flow_pieces();
         config.stage_cache = Some(dir.clone());
         let outcome = crate::run_flow(&netlist, &library, &config).expect("flow");
+        let out = stored_blobs(&dir)
+            .into_iter()
+            .map(|(stage, _, body)| (stage, body))
+            .collect();
+        let _ = fs::remove_dir_all(&dir);
+        (outcome, library, out)
+    }
+
+    /// The six blobs of the cache at `dir`: stage tag, address and body,
+    /// in stage-name order.
+    fn stored_blobs(dir: &Path) -> Vec<(String, String, String)> {
         let mut out = Vec::new();
-        for entry in fs::read_dir(&dir).expect("cache root") {
+        for entry in fs::read_dir(dir).expect("cache root") {
             let path = entry.expect("dir entry").path();
             if path.extension().is_some_and(|e| e == "blob") {
                 let body = fs::read_to_string(&path).expect("blob");
-                let mut d = Dec { rest: &body };
+                let mut d: Dec<'_> = Dec::raw(&body);
                 let _version = d.u();
                 let stage = d.s().expect("stage tag").to_owned();
-                out.push((stage, body));
+                let addr = path.file_stem().and_then(|a| a.to_str()).expect("address");
+                out.push((stage, addr.to_owned(), body));
             }
         }
         out.sort();
-        let _ = fs::remove_dir_all(&dir);
         assert_eq!(out.len(), Stage::ALL.len(), "one payload per stage");
-        (outcome, library, out)
+        out
     }
 
     /// Whether `stage`'s whole-payload decoder accepts `text`.
@@ -1619,7 +1793,7 @@ mod tests {
 
     #[test]
     fn writers_match_the_reference_on_edge_cases() {
-        let mut new = Enc { buf: Vec::new() };
+        let mut new: Enc = Enc::empty();
         let mut old = reference::Enc { buf: String::new() };
         for v in [
             0,
@@ -1699,9 +1873,9 @@ mod tests {
         for (stage, payload) in counter_payloads("writer-payloads") {
             // Re-emit every token through both writers, reading it with
             // the reader its shape names.
-            let mut new = Enc { buf: Vec::new() };
+            let mut new: Enc = Enc::empty();
             let mut old = reference::Enc { buf: String::new() };
-            let mut d = Dec { rest: &payload };
+            let mut d: Dec<'_> = Dec::raw(&payload);
             while !d.done() {
                 match read_for(d.rest) {
                     Read::S => {
@@ -1889,26 +2063,121 @@ mod tests {
         // A length near `usize::MAX` must not overflow `start + len`: that
         // panics under overflow checks and wraps the index otherwise.
         assert!(decode_synth("1 5:synth 18446744073709551615:abc ").is_none());
-        let mut d = Dec {
-            rest: "18446744073709551615:",
-        };
+        let mut d: Dec<'_> = Dec::raw("18446744073709551615:");
         assert_eq!(d.s(), None);
+    }
+
+    /// [`decimal`] against [`digits`] on `bytes[from..]`: the same answer,
+    /// always. Returns whether [`short_decimal`] took the token.
+    fn same_as_digits(bytes: &[u8], from: usize, stop: u8) -> bool {
+        let fast = bytes.get(from..).and_then(|rest| short_decimal(rest, stop));
+        assert_eq!(
+            decimal(bytes, from, stop),
+            digits(bytes, from, stop, 10),
+            "{:?} from {from}, stop {:?}",
+            String::from_utf8_lossy(bytes),
+            char::from(stop)
+        );
+        fast.is_some()
+    }
+
+    #[test]
+    fn short_decimals_match_digits() {
+        // One to seven digits, the terminator at each position of the
+        // eight-byte window, and exactly eight digits (too long).
+        for stop in [b' ', b':'] {
+            for len in 1..=8 {
+                for digit_run in ["12345678", "98765432", "00000000", "99999999", "00000009"] {
+                    let mut bytes = digit_run.as_bytes()[..len].to_vec();
+                    bytes.push(stop);
+                    bytes.extend_from_slice(b"7 8 9 10");
+                    assert_eq!(same_as_digits(&bytes, 0, stop), len < 8, "{len} digits");
+                    let other = if stop == b' ' { b':' } else { b' ' };
+                    assert!(!same_as_digits(&bytes, 0, other), "wrong terminator");
+                }
+            }
+        }
+        // Leading zeros, signs, the largest and the first overflowing u64.
+        assert!(same_as_digits(b"0000007 xyz", 0, b' '));
+        assert!(!same_as_digits(b"+1234 xyzw", 0, b' '));
+        assert!(same_as_digits(b"+1234 xyzw", 1, b' '));
+        assert!(!same_as_digits(b"-0 abcdefg", 0, b' '));
+        assert!(same_as_digits(b"-0 abcdefg", 1, b' '));
+        assert!(!same_as_digits(b"+-5 abcdef", 1, b' '));
+        assert!(!same_as_digits(b"18446744073709551615 ", 0, b' '));
+        assert!(!same_as_digits(b"18446744073709551616 ", 0, b' '));
+        // A byte at or above 0x80 right after the digits, and after the
+        // terminator (where a borrow or carry may flag a digit falsely).
+        for high in [0x80, 0xB9, 0xBA, 0xC3, 0xFF] {
+            assert!(!same_as_digits(
+                &[b'4', b'2', high, b' ', b'1', b' ', b'2', b' '],
+                0,
+                b' '
+            ));
+            assert!(same_as_digits(
+                &[b'4', b'2', b' ', high, b'1', high, b'2', high],
+                0,
+                b' '
+            ));
+            assert!(same_as_digits(
+                &[b'4', b' ', high, high, high, high, high, high],
+                0,
+                b' '
+            ));
+        }
+        // Bytes just outside the digit range, in and after the token.
+        for near in [b'/', b':', b';'] {
+            assert!(!same_as_digits(
+                &[b'1', near, b'2', b' ', b'3', b' ', b'4', b' '],
+                0,
+                b' '
+            ));
+            assert!(same_as_digits(
+                &[b'1', b' ', near, b'2', near, b' ', b'3', b' '],
+                0,
+                b' '
+            ));
+        }
+        // Fewer than eight bytes left.
+        assert!(!same_as_digits(b"1234 ", 0, b' '));
+        assert!(!same_as_digits(b"1234567", 0, b' '));
+        assert!(!same_as_digits(b"12 4567", 1, b' '));
+        assert!(!same_as_digits(b"", 0, b' '));
+        assert!(!same_as_digits(b"1", 2, b' '));
+        // Random windows over those bytes, at every start offset.
+        const ALPHABET: &[u8] = b"0123456789 :+-/;\x80\xBA\xFF";
+        let mut rng = Rng64::new(0x5a4d_0d16);
+        let mut fast = 0;
+        for _ in 0..200_000 {
+            let digits_first = rng.range_usize(0, 9);
+            let mut bytes: Vec<u8> = (0..digits_first)
+                .map(|_| b'0' + rng.range_usize(0, 10) as u8)
+                .collect();
+            for _ in 0..rng.range_usize(0, 10) {
+                bytes.push(ALPHABET[rng.range_usize(0, ALPHABET.len())]);
+            }
+            for from in 0..=bytes.len() {
+                fast += usize::from(same_as_digits(&bytes, from, b' '));
+                fast += usize::from(same_as_digits(&bytes, from, b':'));
+            }
+        }
+        assert!(fast > 10_000, "the fast path took only {fast} windows");
     }
 
     /// Encodes `v`, decodes it, and checks that the decoded value encodes
     /// to the same bytes and that the tokens under another stage tag are
     /// rejected. Returns the decoded value.
     fn round_trip<T: Codec>(v: &T) -> T {
-        let mut e = Enc::new("t");
+        let mut e: Enc = Enc::new("t");
         v.enc(&mut e);
         let text = e.finish();
-        let mut d = Dec::new(&text, "t").expect("tag");
+        let mut d: Dec<'_> = Dec::new(&text, "t").expect("tag");
         let back = T::dec(&mut d).expect("decode");
         assert!(d.done(), "tokens left over");
-        let mut again = Enc::new("t");
+        let mut again: Enc = Enc::new("t");
         back.enc(&mut again);
         assert_eq!(again.finish(), text, "re-encoding drifted");
-        assert!(Dec::new(&text, "other").is_none(), "wrong stage tag");
+        assert!(Dec::<u64>::new(&text, "other").is_none(), "wrong stage tag");
         back
     }
 
@@ -2023,12 +2292,85 @@ mod tests {
         assert_eq!(power.total_mw(), outcome.report.power_mw);
     }
 
+    /// A stored `stage` payload decoded and re-encoded: the re-encoded
+    /// text, the encoder's hash and the decoder's hash.
+    fn codec_hashes(stage: Stage, body: &str) -> (String, u64, u64) {
+        fn both<T: Codec>(stage: Stage, body: &str) -> (String, u64, u64) {
+            let ((value, data), read) = decode_with::<u64, T>(stage, body).expect("decodes");
+            let (text, written) = encode_with::<u64, _>(stage, &value, &data);
+            (text, written, read)
+        }
+        match stage {
+            Stage::Synth => both::<Netlist>(stage, body),
+            Stage::Pnr => both::<(Netlist, PnrResult)>(stage, body),
+            Stage::Merge => both::<Def>(stage, body),
+            Stage::Signoff => both::<SignoffReport>(stage, body),
+            Stage::Rcx => both::<Vec<Option<NetParasitics>>>(stage, body),
+            Stage::Sta => both::<(TimingReport, PowerReport)>(stage, body),
+        }
+    }
+
+    #[test]
+    fn codec_hashes_are_the_content_addresses() {
+        // The counter flow, and the RV32 point of
+        // `tests/stage_cache.rs::rv32_stage_payloads_are_pinned`.
+        let (counter, library, netlist) = small_flow_pieces();
+        let rv32 = FlowConfig {
+            tech: TechKind::Ffet3p5t,
+            pattern: ffet_tech::RoutingPattern::new(12, 12).expect("static"),
+            back_pin_ratio: 0.5,
+            utilization: 0.625,
+            aspect_ratio: 1.0,
+            target_freq_ghz: 1.5,
+            activity: 0.15,
+            seed: 42,
+            bridging_min_nm: None,
+            extra_reroute_rounds: 0,
+            max_attempts: 1,
+            route_jobs: 1,
+            deadline_ms: None,
+            fault_plan: crate::FaultPlan::default(),
+            stage_cache: None,
+        };
+        let rv32_library = rv32.build_library().expect("valid config");
+        let flows = [
+            ("hash-counter", counter, &library, netlist),
+            (
+                "hash-rv32",
+                rv32,
+                &rv32_library,
+                crate::designs::rv32_core(&rv32_library),
+            ),
+        ];
+        for (tag, mut config, library, netlist) in flows {
+            let dir = scratch(tag);
+            config.stage_cache = Some(dir.clone());
+            crate::run_flow(&netlist, library, &config).expect("flow");
+            for (name, addr, body) in stored_blobs(&dir) {
+                let stage = Stage::ALL
+                    .into_iter()
+                    .find(|s| s.name() == name)
+                    .expect("stage");
+                let (text, written, read) = codec_hashes(stage, &body);
+                assert_eq!(text, body, "{tag} {name}: re-encoding drifted");
+                assert_eq!(
+                    written,
+                    fnv1a64(body.as_bytes()),
+                    "{tag} {name}: encoder hash"
+                );
+                assert_eq!(hash_hex(written), addr, "{tag} {name}: blob name");
+                assert_eq!(read, written, "{tag} {name}: decoder hash");
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
     /// Whether `T` decodes from exactly the tokens `write` emits.
     fn accepts<T: Codec>(write: impl FnOnce(&mut Enc)) -> bool {
         let mut e = Enc::new("t");
         write(&mut e);
         let text = e.finish();
-        let mut d = Dec::new(&text, "t").expect("tag");
+        let mut d: Dec<'_> = Dec::new(&text, "t").expect("tag");
         T::dec(&mut d).is_some() && d.done()
     }
 
@@ -2095,6 +2437,11 @@ mod tests {
         assert!(!accepts::<Gcell>(gcell(65_536)), "gcell coordinate 65536");
         assert!(accepts::<NetId>(|e| e.u(u64::from(u32::MAX))));
         assert!(!accepts::<NetId>(|e| e.u(1 << 32)), "id 2^32");
+        assert!(accepts::<&'static str>(|e| e.s("drc.open")));
+        assert!(
+            !accepts::<&'static str>(|e| e.s("drc.opens")),
+            "unknown rule id"
+        );
 
         let seq = |count: u64| {
             move |e: &mut Enc| {
@@ -2115,7 +2462,7 @@ mod tests {
                 sinks: Vec::new(),
                 is_clock: false,
             };
-            let mut e = Enc::new(Stage::Synth.name());
+            let mut e: Enc = Enc::new(Stage::Synth.name());
             "d".enc(&mut e);
             e.u(0);
             [net("a"), net(second)].enc(&mut e);
@@ -2190,15 +2537,45 @@ mod tests {
     }
 
     #[test]
-    fn run_stage_inline_without_cache() {
-        let out = run_stage::<i32, ()>(
-            None,
-            None,
-            "synth",
-            |_, _| String::new(),
-            |_| None,
-            || Ok(7),
+    fn run_stage_misses_on_a_tampered_blob_that_still_decodes() {
+        let dir = scratch("tamper");
+        let cache = StageCache::new(&dir);
+        let computed = std::cell::Cell::new(0);
+        let run = |value: Vec<i64>| {
+            let key = Some("sc1|test|tamper".to_owned());
+            run_stage::<_, ()>(Some(&cache), key, Stage::Pnr, || {
+                computed.set(computed.get() + 1);
+                Ok(value)
+            })
+        };
+        let coords = vec![1200, -340, 56];
+        let (_, addr) = run(coords.clone()).expect("computed");
+        let addr = addr.expect("stored");
+        let hit = Ok((coords.clone(), Some(addr.clone())));
+        assert_eq!(run(Vec::new()), hit, "a clean blob hits");
+        assert_eq!(computed.get(), 1);
+
+        // Flip one digit of a coordinate: the body still decodes, to other
+        // coordinates, but no longer hashes to the blob's name.
+        let blob = blob_path(&dir, &addr);
+        let body = fs::read_to_string(&blob).expect("blob");
+        let tampered = body.replacen(" 1200 ", " 1201 ", 1);
+        let decoded = decode::<Vec<i64>>(Stage::Pnr, &tampered).map(|(v, _)| v);
+        assert_eq!(decoded, Some(vec![1201, -340, 56]));
+        fs::write(&blob, tampered).expect("tamper");
+        assert_eq!(
+            run(coords.clone()),
+            hit,
+            "recomputed, not the tampered value"
         );
+        assert_eq!(computed.get(), 2, "a tampered blob is a miss");
+        assert_eq!(verify(&dir).expect("verify").corrupt, vec![addr]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_stage_inline_without_cache() {
+        let out = run_stage::<u32, ()>(None, None, Stage::Synth, || Ok(7));
         assert_eq!(out, Ok((7, None)));
     }
 

@@ -21,7 +21,19 @@ pub const RECORD_TAG: &str = "v1";
 /// re-exports it for the stage cache's blob addresses.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_fold(FNV1A64_START, bytes)
+}
+
+/// The [`fnv1a64`] state before any byte (the FNV-1a offset basis).
+pub const FNV1A64_START: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the [`fnv1a64`] state `h`, in order. Folding a
+/// byte stream piece by piece, from [`FNV1A64_START`], gives the hash of
+/// the whole stream, so a writer or reader can hash the bytes it
+/// produces or consumes without a second pass over them.
+#[inline]
+#[must_use]
+pub fn fnv1a64_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -234,6 +234,45 @@ pub const ERROR_RULES: &[&str] = &[
     "place.count",
 ];
 
+/// Every rule id the signoff can emit, sorted: the closed set
+/// [`Violation::rule`] draws from. Readers of stored reports (the stage
+/// cache) map an id back to its `&'static str` here, so an unknown id is
+/// a parse failure rather than a new string. A test holds this list
+/// equal to the rule literals of the check modules.
+pub const RULES: &[&str] = &[
+    "drc.decompose",
+    "drc.extra-routing",
+    "drc.gcell-capacity",
+    "drc.layer-range",
+    "drc.non-manhattan",
+    "drc.off-die",
+    "drc.off-track",
+    "drc.open",
+    "drc.wrong-direction",
+    "lint.comb-loop",
+    "lint.dangling-output",
+    "lint.fanout",
+    "lint.floating-input",
+    "lint.multi-driven",
+    "lint.unconnected-output",
+    "lint.undriven",
+    "lvs.duplicate-component",
+    "lvs.duplicate-net",
+    "lvs.extra-component",
+    "lvs.extra-connection",
+    "lvs.extra-net",
+    "lvs.macro-mismatch",
+    "lvs.missing-component",
+    "lvs.missing-connection",
+    "lvs.missing-net",
+    "place.boundary",
+    "place.count",
+    "place.off-row",
+    "place.off-site",
+    "place.overlap",
+    "place.tap-overlap",
+];
+
 fn csv_escape(field: &str) -> String {
     if field.contains([',', '"', '\n']) {
         format!("\"{}\"", field.replace('"', "\"\""))
@@ -271,6 +310,7 @@ pub fn run_signoff(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn violation(rule: &'static str, severity: Severity) -> Violation {
         Violation {
@@ -310,6 +350,49 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted, ERROR_RULES, "ERROR_RULES must be sorted and unique");
+    }
+
+    #[test]
+    fn rules_are_sorted_unique_and_cover_the_error_rules() {
+        let mut sorted = RULES.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted, RULES, "RULES must be sorted and unique");
+        for rule in ERROR_RULES {
+            assert!(RULES.contains(rule), "{rule} is in ERROR_RULES only");
+        }
+    }
+
+    /// The `"<family>.<name>"` string literals of `source`, for the four
+    /// rule families, with `<name>` of lowercase letters, digits and `-`.
+    fn rule_literals(source: &str) -> BTreeSet<&str> {
+        let name_char = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-';
+        let mut out = BTreeSet::new();
+        for family in ["drc.", "lint.", "lvs.", "place."] {
+            for (at, _) in source.match_indices(&format!("\"{family}")) {
+                let id = &source[at + 1..];
+                let len = family.len() + id[family.len()..].find(|c| !name_char(c)).unwrap_or(0);
+                if len > family.len() && id[len..].starts_with('"') {
+                    out.insert(&id[..len]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rules_are_exactly_the_rule_literals_of_the_sources() {
+        let checks = [
+            include_str!("drc.rs"),
+            include_str!("lint.rs"),
+            include_str!("lvs.rs"),
+        ];
+        let emitted: BTreeSet<&str> = checks.iter().flat_map(|s| rule_literals(s)).collect();
+        let rules: BTreeSet<&str> = RULES.iter().copied().collect();
+        assert_eq!(
+            emitted, rules,
+            "RULES differs from the check modules' rule ids"
+        );
     }
 
     #[test]

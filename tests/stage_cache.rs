@@ -7,12 +7,13 @@
 //! * a **poisoned** blob (payload bytes no longer hashing to their
 //!   address) is a deterministic miss: the stage recomputes and the flow
 //!   result is exactly the uncached one — a corrupt cache can cost time
-//!   but never correctness;
+//!   but never correctness — also when the tampered bytes still decode;
 //! * a **faulted** run never reads from or writes to the cache: fault
 //!   plans force the cache off, so injected corruption cannot poison a
 //!   later clean run, and a clean prefix cannot mask an injected fault.
 
 use ffet_core::experiments::{self, utilization_sweep, DesignKind};
+use ffet_core::stagecache;
 use ffet_core::{designs, run_flow, Fault, FaultKind, FaultPlan, FlowConfig, Pool};
 use ffet_tech::{RoutingPattern, TechKind};
 use std::path::{Path, PathBuf};
@@ -188,6 +189,77 @@ fn poisoned_blob_is_a_deterministic_miss_never_a_wrong_artifact() {
     );
     assert!(stat_total("miss") > 0, "poisoned lookups must be misses");
     // Byte-level equivalence of everything the flow hands downstream.
+    assert_eq!(first.merged_def, second.merged_def);
+    assert_eq!(first.signoff, second.signoff);
+    assert_eq!(first.timing, second.timing);
+    assert_eq!(first.parasitics, second.parasitics);
+    assert_eq!(first.report, second.report);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The count of one `cache.<kind>.<stage>` counter.
+fn stat(name: &str) -> u64 {
+    let stats = ffet_obs::cache_stats();
+    stats.iter().find(|(n, _)| n == name).map_or(0, |&(_, n)| n)
+}
+
+/// `payload` with the last digit of one wire coordinate flipped, if it is
+/// a pnr or merge payload. The result still decodes.
+fn flip_a_wire_digit(payload: &str) -> Option<(&'static str, String)> {
+    fn flip(wires: &mut [ffet_lefdef::DefWire]) {
+        // 2k <-> 2k + 1 changes the last decimal digit only.
+        wires.first_mut().expect("a routed wire").from.x ^= 1;
+    }
+    if let Some(((netlist, mut pnr), data)) = stagecache::decode_pnr(payload) {
+        let net = pnr.routing.nets.iter_mut().find(|n| !n.wires.is_empty());
+        flip(&mut net.expect("a routed net").wires);
+        return Some(("pnr", stagecache::encode_pnr(&(netlist, pnr), &data)));
+    }
+    let (mut def, data) = stagecache::decode_merge(payload)?;
+    let net = def.nets.iter_mut().find(|n| !n.wires.is_empty());
+    flip(&mut net.expect("a routed net").wires);
+    Some(("merge", stagecache::encode_merge(&def, &data)))
+}
+
+#[test]
+fn tampered_blob_that_still_decodes_is_a_miss() {
+    let _g = lock();
+    let root = scratch("tamper");
+    let config = base_config(&root);
+    let library = config.build_library().expect("valid config");
+    let netlist = designs::counter_pipeline(&library, 16);
+
+    let first = run_flow(&netlist, &library, &config).expect("clean flow");
+    // Rewrite the pnr and merge blobs in place with one digit of a wire
+    // coordinate flipped: each body still decodes, to another routing,
+    // but no longer re-hashes to its name.
+    let mut tampered = Vec::new();
+    for entry in std::fs::read_dir(&root).expect("cache root exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_none_or(|e| e != "blob") {
+            continue;
+        }
+        let body = std::fs::read_to_string(&path).expect("blob is UTF-8");
+        if let Some((stage, flipped)) = flip_a_wire_digit(&body) {
+            let changed = body.bytes().zip(flipped.bytes()).filter(|(a, b)| a != b);
+            assert_eq!((flipped.len(), changed.count()), (body.len(), 1), "{stage}");
+            std::fs::write(&path, flipped).expect("tamper blob");
+            tampered.push(stage);
+        }
+    }
+    tampered.sort_unstable();
+    assert_eq!(tampered, ["merge", "pnr"]);
+
+    ffet_obs::cache_stats_reset();
+    let second = run_flow(&netlist, &library, &config).expect("recomputed flow");
+    for stage in ["pnr", "merge"] {
+        assert_eq!(stat(&format!("cache.hit.{stage}")), 0, "{stage} hit");
+        assert_eq!(stat(&format!("cache.miss.{stage}")), 1, "{stage} miss");
+    }
+    for stage in ["synth", "signoff", "rcx", "sta"] {
+        assert_eq!(stat(&format!("cache.hit.{stage}")), 1, "{stage} hit");
+    }
+    assert_eq!(first.pnr.routing.nets, second.pnr.routing.nets);
     assert_eq!(first.merged_def, second.merged_def);
     assert_eq!(first.signoff, second.signoff);
     assert_eq!(first.timing, second.timing);
