@@ -2,8 +2,9 @@
 //! point runs once through `run_flow` with a scratch stage cache; then,
 //! for each of its six stored payloads, the bench times
 //! `StageCache::lookup` (read the blob and re-hash its address), the
-//! stage's `decode_*` (dropping the value included), its `encode_*` on
-//! the decoded value, and `StageCache::probe`: what a `run_flow` stage
+//! stage's `decode_*` (which hashes as it reads; dropping the value
+//! included), its `encode_*` on the decoded value (which hashes as it
+//! writes), and `StageCache::probe`: what a `run_flow` stage
 //! does on a hit, reading the blob and decoding it while checking its
 //! address. Medians, payload bytes and MB/s land in
 //! `results/BENCH_stage_codec.json` with `host_cores`.

@@ -261,9 +261,10 @@ impl From<PnrError> for FlowError {
 /// The body is an explicit stage DAG ([`crate::stagecache::Stage`]): each
 /// stage runs through the crate's stage runner (`stagecache::run_stage`),
 /// which either replays a memoized artifact (when `config.stage_cache` is
-/// set and the stage's input key hits) or computes it inline. With the cache off the
-/// event stream and artifacts are byte-identical to the pre-cache flow;
-/// with it on, only wall clock and the `cached` span attribute change.
+/// set and the stage's input key hits) or computes it inline. With the
+/// cache off the event stream and artifacts are byte-identical to the
+/// pre-cache flow; with it on, only wall clock and the `cached` span
+/// attribute change.
 ///
 /// # Errors
 ///

@@ -154,62 +154,34 @@ impl Stage {
 // out, one pass per token on the way in (DESIGN §14.5). They accept exactly
 // the token forms `str::parse`/`u64::from_str_radix` accept; the tests
 // against the `reference` oracle at the end of this file pin that. Both
-// can fold every byte they write or consume into an FNV-1a state ([`Fold`]),
-// so the stage runner hashes a payload in the pass that encodes or decodes
-// it.
+// fold every byte they write or consume into an FNV-1a state, so a payload
+// is hashed in the pass that encodes or decodes it.
 //
 // Above the scalars, every payload type implements [`Codec`] once: its
 // `enc` and `dec` walk the same token order, so a type's payload grammar is
 // written in one place (DESIGN §14.2).
 
-/// What [`Enc`] and [`Dec`] do with each token's bytes, in order: fold
-/// them into an FNV-1a state (`u64`, the content address the stage runner
-/// stores under and checks), or nothing (`()`, for the public
-/// `encode_*`/`decode_*`).
-pub(crate) trait Fold: Copy {
-    /// The state before any byte.
-    const START: Self;
-
-    fn fold(self, bytes: &[u8]) -> Self;
-}
-
-impl Fold for u64 {
-    const START: u64 = FNV1A64_START;
-
-    #[inline(always)]
-    fn fold(self, bytes: &[u8]) -> u64 {
-        fnv1a64_fold(self, bytes)
-    }
-}
-
-impl Fold for () {
-    const START: () = ();
-
-    #[inline(always)]
-    fn fold(self, _: &[u8]) {}
-}
-
 /// Canonical payload encoder.
-pub(crate) struct Enc<H: Fold = u64> {
+pub(crate) struct Enc {
     buf: Vec<u8>,
-    /// `buf`, folded in as it is written.
-    hash: H,
+    /// FNV-1a of `buf`, folded in as it is written.
+    hash: u64,
 }
 
 /// Lowercase hex digit of each nibble value.
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-impl<H: Fold> Enc<H> {
+impl Enc {
     /// An encoder with nothing written.
-    fn empty() -> Enc<H> {
+    fn empty() -> Enc {
         Enc {
             buf: Vec::new(),
-            hash: H::START,
+            hash: FNV1A64_START,
         }
     }
 
     /// Starts a payload for `stage` (version + stage tag prefix).
-    fn new(stage: &str) -> Enc<H> {
+    fn new(stage: &str) -> Enc {
         let mut e = Enc::empty();
         e.u(PAYLOAD_VERSION);
         e.s(stage);
@@ -221,7 +193,7 @@ impl<H: Fold> Enc<H> {
     #[inline(always)]
     fn put(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-        self.hash = self.hash.fold(bytes);
+        self.hash = fnv1a64_fold(self.hash, bytes);
     }
 
     #[inline(always)]
@@ -386,23 +358,23 @@ fn hex8(x: u64) -> Option<u64> {
 
 /// Canonical payload decoder; every reader returns `None` on malformed
 /// input (the caller treats the payload as a miss).
-pub(crate) struct Dec<'a, H: Fold = u64> {
+pub(crate) struct Dec<'a> {
     rest: &'a str,
-    /// The consumed input, folded in as it is consumed.
-    hash: H,
+    /// FNV-1a of the consumed input, folded in as it is consumed.
+    hash: u64,
 }
 
-impl<'a, H: Fold> Dec<'a, H> {
+impl<'a> Dec<'a> {
     /// A decoder at the start of `text`, with nothing consumed.
-    fn raw(text: &'a str) -> Dec<'a, H> {
+    fn raw(text: &'a str) -> Dec<'a> {
         Dec {
             rest: text,
-            hash: H::START,
+            hash: FNV1A64_START,
         }
     }
 
     /// Opens a payload, validating the version + stage tag prefix.
-    fn new(text: &'a str, stage: &str) -> Option<Dec<'a, H>> {
+    fn new(text: &'a str, stage: &str) -> Option<Dec<'a>> {
         let mut d = Dec::raw(text);
         if d.u()? != PAYLOAD_VERSION || d.s()? != stage {
             return None;
@@ -415,7 +387,7 @@ impl<'a, H: Fold> Dec<'a, H> {
     #[inline(always)]
     fn skip_past(&mut self, stop: usize) -> Option<()> {
         let (token, rest) = self.rest.split_at_checked(stop.checked_add(1)?)?;
-        self.hash = self.hash.fold(token.as_bytes());
+        self.hash = fnv1a64_fold(self.hash, token.as_bytes());
         self.rest = rest;
         Some(())
     }
@@ -488,9 +460,9 @@ impl<'a, H: Fold> Dec<'a, H> {
         Some(out)
     }
 
-    /// Element count for a sequence, bounded by the remaining input (every
-    /// element is at least two bytes) so a corrupt length cannot drive a
-    /// pathological allocation.
+    /// Element count for a sequence, at most the bytes left (every element
+    /// is at least two bytes). What a count may reserve is bounded where
+    /// `Vec` decodes.
     #[inline(always)]
     fn len(&mut self) -> Option<usize> {
         let n = usize::try_from(self.u()?).ok()?;
@@ -507,9 +479,9 @@ impl<'a, H: Fold> Dec<'a, H> {
 /// the same order, returning `None` on anything `enc` could not have
 /// written.
 pub(crate) trait Codec {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>);
+    fn enc(&self, e: &mut Enc);
 
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self>
+    fn dec(d: &mut Dec<'_>) -> Option<Self>
     where
         Self: Sized;
 }
@@ -519,12 +491,12 @@ macro_rules! scalar_codec {
     ($($ty:ty => $method:ident),+) => {$(
         impl Codec for $ty {
             #[inline(always)]
-            fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+            fn enc(&self, e: &mut Enc) {
                 e.$method(*self);
             }
 
             #[inline(always)]
-            fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+            fn dec(d: &mut Dec<'_>) -> Option<Self> {
                 d.$method()
             }
         }
@@ -538,12 +510,12 @@ macro_rules! narrow_codec {
     ($($ty:ty),+) => {$(
         impl Codec for $ty {
             #[inline(always)]
-            fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+            fn enc(&self, e: &mut Enc) {
                 e.u(*self as u64);
             }
 
             #[inline(always)]
-            fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+            fn dec(d: &mut Dec<'_>) -> Option<Self> {
                 Self::try_from(d.u()?).ok()
             }
         }
@@ -557,12 +529,12 @@ macro_rules! id_codec {
     ($($ty:ident),+) => {$(
         impl Codec for $ty {
             #[inline(always)]
-            fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+            fn enc(&self, e: &mut Enc) {
                 self.0.enc(e);
             }
 
             #[inline(always)]
-            fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+            fn dec(d: &mut Dec<'_>) -> Option<Self> {
                 u32::dec(d).map($ty)
             }
         }
@@ -576,12 +548,12 @@ macro_rules! flag_codec {
     ($($ty:ident: $set:ident | $clear:ident),+) => {$(
         impl Codec for $ty {
             #[inline(always)]
-            fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+            fn enc(&self, e: &mut Enc) {
                 e.b(*self == $ty::$set);
             }
 
             #[inline(always)]
-            fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+            fn dec(d: &mut Dec<'_>) -> Option<Self> {
                 Some(if d.b()? { $ty::$set } else { $ty::$clear })
             }
         }
@@ -597,19 +569,19 @@ flag_codec!(
 
 impl Codec for str {
     #[inline(always)]
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         e.s(self);
     }
 }
 
 impl Codec for String {
     #[inline(always)]
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         e.s(self);
     }
 
     #[inline(always)]
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
         d.s().map(str::to_owned)
     }
 }
@@ -618,11 +590,11 @@ impl Codec for String {
 /// id, decoded by lookup in the closed set [`ffet_verify::RULES`]. An
 /// unknown id is a miss.
 impl Codec for &'static str {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         e.s(self);
     }
 
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
         let name = d.s()?;
         let at = ffet_verify::RULES.binary_search(&name).ok()?;
         ffet_verify::RULES.get(at).copied()
@@ -630,7 +602,7 @@ impl Codec for &'static str {
 }
 
 impl<T: Codec> Codec for Option<T> {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         match self {
             Some(v) => {
                 e.b(true);
@@ -640,13 +612,13 @@ impl<T: Codec> Codec for Option<T> {
         }
     }
 
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
         Some(if d.b()? { Some(T::dec(d)?) } else { None })
     }
 }
 
 impl<T: Codec> Codec for [T] {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         e.u(self.len() as u64);
         for item in self {
             item.enc(e);
@@ -655,13 +627,16 @@ impl<T: Codec> Codec for [T] {
 }
 
 impl<T: Codec> Codec for Vec<T> {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         self.as_slice().enc(e);
     }
 
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
         let n = d.len()?;
-        let mut out = Vec::with_capacity(n);
+        // Reserve no more bytes than the input has left: the count is only
+        // bounded by that many elements, and an element may be far larger
+        // in memory than on the wire. A longer honest vector grows past it.
+        let mut out = Vec::with_capacity(n.min(d.rest.len() / size_of::<T>().max(1)));
         for _ in 0..n {
             out.push(T::dec(d)?);
         }
@@ -670,7 +645,7 @@ impl<T: Codec> Codec for Vec<T> {
 }
 
 impl<V: Codec> Codec for BTreeMap<String, V> {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         e.u(self.len() as u64);
         for (key, value) in self {
             key.enc(e);
@@ -678,7 +653,7 @@ impl<V: Codec> Codec for BTreeMap<String, V> {
         }
     }
 
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
         let mut out = BTreeMap::new();
         for _ in 0..d.len()? {
             let key = String::dec(d)?;
@@ -690,14 +665,14 @@ impl<V: Codec> Codec for BTreeMap<String, V> {
 
 /// A fixed-size array: its length, which must be `N` on the way in.
 impl<const N: usize> Codec for [u64; N] {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         e.u(N as u64);
         for &v in self {
             e.u(v);
         }
     }
 
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
         if usize::dec(d)? != N {
             return None;
         }
@@ -710,18 +685,18 @@ impl<const N: usize> Codec for [u64; N] {
 }
 
 impl<A: Codec, B: Codec> Codec for (A, B) {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         self.0.enc(e);
         self.1.enc(e);
     }
 
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
         Some((A::dec(d)?, B::dec(d)?))
     }
 }
 
 impl<A: Codec, B: Codec, C: Codec, D: Codec, E: Codec> Codec for (A, B, C, D, E) {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         self.0.enc(e);
         self.1.enc(e);
         self.2.enc(e);
@@ -729,7 +704,7 @@ impl<A: Codec, B: Codec, C: Codec, D: Codec, E: Codec> Codec for (A, B, C, D, E)
         self.4.enc(e);
     }
 
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
         Some((A::dec(d)?, B::dec(d)?, C::dec(d)?, D::dec(d)?, E::dec(d)?))
     }
 }
@@ -742,12 +717,12 @@ macro_rules! struct_codec {
     ($($ty:ident { $($field:ident),+ })+) => {$(
         impl Codec for $ty {
             #[inline]
-            fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+            fn enc(&self, e: &mut Enc) {
                 $(self.$field.enc(e);)+
             }
 
             #[inline(always)]
-            fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+            fn dec(d: &mut Dec<'_>) -> Option<Self> {
                 Some($ty { $($field: Codec::dec(d)?),+ })
             }
         }
@@ -796,14 +771,14 @@ struct_codec! {
 /// The netlist's fields are private: it is rebuilt through
 /// [`Netlist::from_parts`], which rejects duplicate net names.
 impl Codec for Netlist {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         self.name().enc(e);
         self.instances().enc(e);
         self.nets().enc(e);
         self.ports().enc(e);
     }
 
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
         let name = String::dec(d)?;
         let instances = Vec::dec(d)?;
         let nets = Vec::dec(d)?;
@@ -815,7 +790,7 @@ impl Codec for Netlist {
 /// `start_us`/`dur_us` are wall clock: stripped before storage, not
 /// written, and zero on decode.
 impl Codec for SpanEvent {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         self.id.enc(e);
         self.parent.enc(e);
         self.depth.enc(e);
@@ -823,7 +798,7 @@ impl Codec for SpanEvent {
         self.attrs.enc(e);
     }
 
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
         Some(SpanEvent {
             id: Codec::dec(d)?,
             parent: Codec::dec(d)?,
@@ -838,7 +813,7 @@ impl Codec for SpanEvent {
 
 /// A tag token (0 string, 1 integer, 2 float, 3 bool), then the value.
 impl Codec for AttrValue {
-    fn enc<H: Fold>(&self, e: &mut Enc<H>) {
+    fn enc(&self, e: &mut Enc) {
         match self {
             AttrValue::Str(s) => {
                 e.u(0);
@@ -859,7 +834,7 @@ impl Codec for AttrValue {
         }
     }
 
-    fn dec<H: Fold>(d: &mut Dec<'_, H>) -> Option<Self> {
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
         Some(match d.u()? {
             0 => AttrValue::Str(Codec::dec(d)?),
             1 => AttrValue::Int(Codec::dec(d)?),
@@ -877,109 +852,97 @@ impl Codec for AttrValue {
 // A stage payload is the version + stage tag prefix, the stage's artifact,
 // then its captured (timing-stripped) trace.
 
-/// A `stage` payload, with its bytes folded into an `H` in the pass that
-/// writes them: with `H = u64`, its content address.
-fn encode_with<H: Fold, T: Codec + ?Sized>(
-    stage: Stage,
-    value: &T,
-    data: &PointData,
-) -> (String, H) {
-    let mut e = Enc::<H>::new(stage.name());
+/// A `stage` payload and its FNV-1a hash, the content address, taken in
+/// the pass that writes it.
+fn encode<T: Codec + ?Sized>(stage: Stage, value: &T, data: &PointData) -> (String, u64) {
+    let mut e = Enc::new(stage.name());
     value.enc(&mut e);
     data.enc(&mut e);
     let hash = e.hash;
     (e.finish(), hash)
 }
 
-/// A whole `stage` payload, with its bytes folded into an `H` in the pass
-/// that reads them. Decoding requires the payload to be fully consumed,
-/// so every byte is folded exactly once.
-fn decode_with<H: Fold, T: Codec>(stage: Stage, text: &str) -> Option<((T, PointData), H)> {
-    let mut d = Dec::<H>::new(text, stage.name())?;
+/// A whole `stage` payload and the FNV-1a hash of its bytes, taken in the
+/// pass that reads them. Decoding requires the payload to be fully
+/// consumed, so every byte is folded exactly once.
+fn decode<T: Codec>(stage: Stage, text: &str) -> Option<((T, PointData), u64)> {
+    let mut d = Dec::new(text, stage.name())?;
     let payload = Codec::dec(&mut d)?;
     d.done().then_some((payload, d.hash))
-}
-
-fn encode<T: Codec + ?Sized>(stage: Stage, value: &T, data: &PointData) -> String {
-    encode_with::<(), T>(stage, value, data).0
-}
-
-fn decode<T: Codec>(stage: Stage, text: &str) -> Option<(T, PointData)> {
-    decode_with::<(), T>(stage, text).map(|(payload, ())| payload)
 }
 
 /// Encodes the synth payload: the synthesized netlist plus the stage's
 /// captured (timing-stripped) trace.
 #[must_use]
 pub fn encode_synth(netlist: &Netlist, data: &PointData) -> String {
-    encode(Stage::Synth, netlist, data)
+    encode(Stage::Synth, netlist, data).0
 }
 
 /// Decodes a synth payload; `None` on any mismatch (treated as a miss).
 #[must_use]
 pub fn decode_synth(text: &str) -> Option<(Netlist, PointData)> {
-    decode(Stage::Synth, text)
+    decode(Stage::Synth, text).map(|(payload, _)| payload)
 }
 
 /// Encodes the pnr payload: the post-CTS netlist (P&R inserts clock
 /// buffers), the full [`PnrResult`], and the captured trace.
 #[must_use]
 pub fn encode_pnr(value: &(Netlist, PnrResult), data: &PointData) -> String {
-    encode(Stage::Pnr, value, data)
+    encode(Stage::Pnr, value, data).0
 }
 
 /// Decodes a pnr payload.
 #[must_use]
 pub fn decode_pnr(text: &str) -> Option<((Netlist, PnrResult), PointData)> {
-    decode(Stage::Pnr, text)
+    decode(Stage::Pnr, text).map(|(payload, _)| payload)
 }
 
 /// Encodes the merge payload (the merged dual-sided DEF).
 #[must_use]
 pub fn encode_merge(def: &Def, data: &PointData) -> String {
-    encode(Stage::Merge, def, data)
+    encode(Stage::Merge, def, data).0
 }
 
 /// Decodes a merge payload.
 #[must_use]
 pub fn decode_merge(text: &str) -> Option<(Def, PointData)> {
-    decode(Stage::Merge, text)
+    decode(Stage::Merge, text).map(|(payload, _)| payload)
 }
 
 /// Encodes the signoff payload (the full structured report).
 #[must_use]
 pub fn encode_signoff_payload(report: &SignoffReport, data: &PointData) -> String {
-    encode(Stage::Signoff, report, data)
+    encode(Stage::Signoff, report, data).0
 }
 
 /// Decodes a signoff payload.
 #[must_use]
 pub fn decode_signoff_payload(text: &str) -> Option<(SignoffReport, PointData)> {
-    decode(Stage::Signoff, text)
+    decode(Stage::Signoff, text).map(|(payload, _)| payload)
 }
 
 /// Encodes the rcx payload (per-net parasitics, `None` slots preserved).
 #[must_use]
 pub fn encode_rcx(parasitics: &[Option<NetParasitics>], data: &PointData) -> String {
-    encode(Stage::Rcx, parasitics, data)
+    encode(Stage::Rcx, parasitics, data).0
 }
 
 /// Decodes an rcx payload.
 #[must_use]
 pub fn decode_rcx(text: &str) -> Option<(Vec<Option<NetParasitics>>, PointData)> {
-    decode(Stage::Rcx, text)
+    decode(Stage::Rcx, text).map(|(payload, _)| payload)
 }
 
 /// Encodes the sta payload (timing + power reports).
 #[must_use]
 pub fn encode_sta(value: &(TimingReport, PowerReport), data: &PointData) -> String {
-    encode(Stage::Sta, value, data)
+    encode(Stage::Sta, value, data).0
 }
 
 /// Decodes an sta payload.
 #[must_use]
 pub fn decode_sta(text: &str) -> Option<((TimingReport, PowerReport), PointData)> {
-    decode(Stage::Sta, text)
+    decode(Stage::Sta, text).map(|(payload, _)| payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -1017,7 +980,7 @@ pub fn library_sig(config: &FlowConfig) -> String {
 /// seed axis shares one synth entry.
 #[must_use]
 pub fn synth_key(config: &FlowConfig, netlist: &Netlist) -> String {
-    let mut e = Enc::<u64>::new("synth-input");
+    let mut e = Enc::new("synth-input");
     netlist.enc(&mut e);
     let input_hash = hash_hex(e.hash);
     format!(
@@ -1141,7 +1104,7 @@ impl StageCache {
     fn hit<T: Codec>(&self, key: &str, stage: Stage) -> Option<((T, PointData), String)> {
         let addr = self.link(key)?;
         let body = read_blob(&self.root, &addr)?;
-        let (payload, hash) = decode_with::<u64, _>(stage, &body)?;
+        let (payload, hash) = decode(stage, &body)?;
         addressed(hash, &addr).then_some((payload, addr))
     }
 
@@ -1536,7 +1499,7 @@ pub(crate) fn run_stage<T: Codec, E>(
     );
     let value = result?;
     ffet_obs::strip_point_timing(&mut data);
-    let (payload, hash) = encode_with::<u64, _>(stage, &value, &data);
+    let (payload, hash) = encode(stage, &value, &data);
     let addr = cache.store_at(&key, stage.name(), &payload, hash_hex(hash));
     if addr.is_some() {
         ffet_obs::cache_event("cache.store", stage.name());
@@ -1766,7 +1729,7 @@ mod tests {
             let path = entry.expect("dir entry").path();
             if path.extension().is_some_and(|e| e == "blob") {
                 let body = fs::read_to_string(&path).expect("blob");
-                let mut d: Dec<'_> = Dec::raw(&body);
+                let mut d = Dec::raw(&body);
                 let _version = d.u();
                 let stage = d.s().expect("stage tag").to_owned();
                 let addr = path.file_stem().and_then(|a| a.to_str()).expect("address");
@@ -1793,7 +1756,7 @@ mod tests {
 
     #[test]
     fn writers_match_the_reference_on_edge_cases() {
-        let mut new: Enc = Enc::empty();
+        let mut new = Enc::empty();
         let mut old = reference::Enc { buf: String::new() };
         for v in [
             0,
@@ -1873,9 +1836,9 @@ mod tests {
         for (stage, payload) in counter_payloads("writer-payloads") {
             // Re-emit every token through both writers, reading it with
             // the reader its shape names.
-            let mut new: Enc = Enc::empty();
+            let mut new = Enc::empty();
             let mut old = reference::Enc { buf: String::new() };
-            let mut d: Dec<'_> = Dec::raw(&payload);
+            let mut d = Dec::raw(&payload);
             while !d.done() {
                 match read_for(d.rest) {
                     Read::S => {
@@ -2063,7 +2026,7 @@ mod tests {
         // A length near `usize::MAX` must not overflow `start + len`: that
         // panics under overflow checks and wraps the index otherwise.
         assert!(decode_synth("1 5:synth 18446744073709551615:abc ").is_none());
-        let mut d: Dec<'_> = Dec::raw("18446744073709551615:");
+        let mut d = Dec::raw("18446744073709551615:");
         assert_eq!(d.s(), None);
     }
 
@@ -2168,16 +2131,16 @@ mod tests {
     /// to the same bytes and that the tokens under another stage tag are
     /// rejected. Returns the decoded value.
     fn round_trip<T: Codec>(v: &T) -> T {
-        let mut e: Enc = Enc::new("t");
+        let mut e = Enc::new("t");
         v.enc(&mut e);
         let text = e.finish();
-        let mut d: Dec<'_> = Dec::new(&text, "t").expect("tag");
+        let mut d = Dec::new(&text, "t").expect("tag");
         let back = T::dec(&mut d).expect("decode");
         assert!(d.done(), "tokens left over");
-        let mut again: Enc = Enc::new("t");
+        let mut again = Enc::new("t");
         back.enc(&mut again);
         assert_eq!(again.finish(), text, "re-encoding drifted");
-        assert!(Dec::<u64>::new(&text, "other").is_none(), "wrong stage tag");
+        assert!(Dec::new(&text, "other").is_none(), "wrong stage tag");
         back
     }
 
@@ -2296,8 +2259,8 @@ mod tests {
     /// text, the encoder's hash and the decoder's hash.
     fn codec_hashes(stage: Stage, body: &str) -> (String, u64, u64) {
         fn both<T: Codec>(stage: Stage, body: &str) -> (String, u64, u64) {
-            let ((value, data), read) = decode_with::<u64, T>(stage, body).expect("decodes");
-            let (text, written) = encode_with::<u64, _>(stage, &value, &data);
+            let ((value, data), read) = decode::<T>(stage, body).expect("decodes");
+            let (text, written) = encode(stage, &value, &data);
             (text, written, read)
         }
         match stage {
@@ -2370,7 +2333,7 @@ mod tests {
         let mut e = Enc::new("t");
         write(&mut e);
         let text = e.finish();
-        let mut d: Dec<'_> = Dec::new(&text, "t").expect("tag");
+        let mut d = Dec::new(&text, "t").expect("tag");
         T::dec(&mut d).is_some() && d.done()
     }
 
@@ -2452,6 +2415,30 @@ mod tests {
         };
         assert!(accepts::<Vec<u64>>(seq(2)));
         assert!(!accepts::<Vec<u64>>(seq(5)), "count past the input");
+        // A count of every byte left, over a type some fifty times larger in
+        // memory than its shortest token: rejected at the second element,
+        // having reserved no more than the bytes left.
+        let net = DefNet {
+            name: "a".to_owned(),
+            connections: Vec::new(),
+            wires: Vec::new(),
+            vias: Vec::new(),
+        };
+        let filler = 1 << 20;
+        assert!(accepts::<Vec<DefNet>>(|e| {
+            e.u(1);
+            net.enc(e);
+        }));
+        assert!(
+            !accepts::<Vec<DefNet>>(|e| {
+                e.u(2 * filler);
+                net.enc(e);
+                for _ in 0..filler {
+                    e.u(0);
+                }
+            }),
+            "a count of every byte left"
+        );
 
         // Whole payloads: a synth payload whose two nets are named `a` and
         // `b`, then one whose nets are both `a`.
@@ -2462,7 +2449,7 @@ mod tests {
                 sinks: Vec::new(),
                 is_clock: false,
             };
-            let mut e: Enc = Enc::new(Stage::Synth.name());
+            let mut e = Enc::new(Stage::Synth.name());
             "d".enc(&mut e);
             e.u(0);
             [net("a"), net(second)].enc(&mut e);
@@ -2560,7 +2547,7 @@ mod tests {
         let blob = blob_path(&dir, &addr);
         let body = fs::read_to_string(&blob).expect("blob");
         let tampered = body.replacen(" 1200 ", " 1201 ", 1);
-        let decoded = decode::<Vec<i64>>(Stage::Pnr, &tampered).map(|(v, _)| v);
+        let decoded = decode::<Vec<i64>>(Stage::Pnr, &tampered).map(|((v, _), _)| v);
         assert_eq!(decoded, Some(vec![1201, -340, 56]));
         fs::write(&blob, tampered).expect("tamper");
         assert_eq!(
