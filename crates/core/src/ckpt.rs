@@ -17,10 +17,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-// The FNV-1a content-addressing/checksum primitive lives in `ffet-obs`
-// (the dependency arrow points core -> obs); re-exported here for the
-// stage cache and the drivers.
-pub use ffet_obs::{fnv1a64, fnv1a64_fold, hash_hex, FNV1A64_START};
+// The FNV-1a checksum primitive lives in `ffet-obs` (the dependency arrow
+// points core -> obs); re-exported here for the config signature, and
+// `hash_hex` for the stage cache's 16-digit addresses.
+pub use ffet_obs::{fnv1a64, hash_hex};
 
 /// Hash of everything that changes experiment *outputs*: design, recovery
 /// budget, fault plan and deadline. Worker counts

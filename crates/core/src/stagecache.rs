@@ -4,11 +4,11 @@
 //! [`crate::run_flow`] is an explicit DAG of six stages ([`Stage`]); each
 //! edge carries a hashable artifact. A stage's *input key* is a canonical
 //! string over (upstream artifact addresses, the stage-relevant
-//! [`FlowConfig`](crate::FlowConfig) fields, the library signature, seed);
-//! its *output payload* is a canonical serialization of the artifact plus
-//! the stage's captured span/metric trace ([`ffet_obs::capture`]). Payloads
-//! are stored content-addressed under `results/ckpt/objects/`: the address
-//! is the FNV-1a hash of the body, so reads are self-verifying and a
+//! [`FlowConfig`] fields, the library signature, seed); its *output
+//! payload* is a canonical serialization of the artifact plus the stage's
+//! captured span/metric trace ([`ffet_obs::capture`]). Payloads are stored
+//! content-addressed under `results/ckpt/objects/`: the address is
+//! `blob_hash` of the body, checked before the body is decoded, so a
 //! corrupt ("poisoned") blob degrades to a deterministic miss — never a
 //! wrong artifact. A `<keyhash>.key` link file maps input keys to payload
 //! addresses.
@@ -34,7 +34,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::ckpt::{atomic_write_unique, fnv1a64, fnv1a64_fold, hash_hex, FNV1A64_START};
+use crate::ckpt::{atomic_write_unique, hash_hex};
 use crate::flow::FlowConfig;
 use ffet_cells::CellId;
 use ffet_geom::{Orientation, Point, Rect};
@@ -53,7 +53,7 @@ use ffet_verify::{Severity, SignoffReport, Violation};
 /// Payload/key schema version: bumped on any change to the canonical
 /// serialization or key derivation, which invalidates every existing entry
 /// (old blobs become unreachable garbage for `gc`, never wrong answers).
-pub const PAYLOAD_VERSION: u64 = 1;
+pub const PAYLOAD_VERSION: u64 = 2;
 
 /// Environment variable enabling the stage cache for driver binaries
 /// (`repro`, benches). Unset, empty or `0` → disabled; `1` → the default
@@ -153,9 +153,7 @@ impl Stage {
 // The scalar writers and readers work on bytes: no `core::fmt` on the way
 // out, one pass per token on the way in (DESIGN §14.5). They accept exactly
 // the token forms `str::parse`/`u64::from_str_radix` accept; the tests
-// against the `reference` oracle at the end of this file pin that. Both
-// fold every byte they write or consume into an FNV-1a state, so a payload
-// is hashed in the pass that encodes or decodes it.
+// against the `reference` oracle at the end of this file pin that.
 //
 // Above the scalars, every payload type implements [`Codec`] once: its
 // `enc` and `dec` walk the same token order, so a type's payload grammar is
@@ -164,8 +162,6 @@ impl Stage {
 /// Canonical payload encoder.
 pub(crate) struct Enc {
     buf: Vec<u8>,
-    /// FNV-1a of `buf`, folded in as it is written.
-    hash: u64,
 }
 
 /// Lowercase hex digit of each nibble value.
@@ -174,10 +170,7 @@ const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 impl Enc {
     /// An encoder with nothing written.
     fn empty() -> Enc {
-        Enc {
-            buf: Vec::new(),
-            hash: FNV1A64_START,
-        }
+        Enc { buf: Vec::new() }
     }
 
     /// Starts a payload for `stage` (version + stage tag prefix).
@@ -188,12 +181,10 @@ impl Enc {
         e
     }
 
-    /// Appends `bytes` and folds them into the hash; every writer goes
-    /// through here.
+    /// Appends `bytes`; every writer goes through here.
     #[inline(always)]
     fn put(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-        self.hash = fnv1a64_fold(self.hash, bytes);
     }
 
     #[inline(always)]
@@ -360,17 +351,12 @@ fn hex8(x: u64) -> Option<u64> {
 /// input (the caller treats the payload as a miss).
 pub(crate) struct Dec<'a> {
     rest: &'a str,
-    /// FNV-1a of the consumed input, folded in as it is consumed.
-    hash: u64,
 }
 
 impl<'a> Dec<'a> {
     /// A decoder at the start of `text`, with nothing consumed.
     fn raw(text: &'a str) -> Dec<'a> {
-        Dec {
-            rest: text,
-            hash: FNV1A64_START,
-        }
+        Dec { rest: text }
     }
 
     /// Opens a payload, validating the version + stage tag prefix.
@@ -382,13 +368,11 @@ impl<'a> Dec<'a> {
         Some(d)
     }
 
-    /// Consumes the input through the terminator at byte index `stop`,
-    /// folding it into the hash; every reader goes through here.
+    /// Consumes the input through the terminator at byte index `stop`;
+    /// every reader goes through here.
     #[inline(always)]
     fn skip_past(&mut self, stop: usize) -> Option<()> {
-        let (token, rest) = self.rest.split_at_checked(stop.checked_add(1)?)?;
-        self.hash = fnv1a64_fold(self.hash, token.as_bytes());
-        self.rest = rest;
+        self.rest = self.rest.get(stop.checked_add(1)?..)?;
         Some(())
     }
 
@@ -632,16 +616,21 @@ impl<T: Codec> Codec for Vec<T> {
     }
 
     fn dec(d: &mut Dec<'_>) -> Option<Self> {
-        let n = d.len()?;
-        // Reserve no more bytes than the input has left: the count is only
-        // bounded by that many elements, and an element may be far larger
-        // in memory than on the wire. A longer honest vector grows past it.
-        let mut out = Vec::with_capacity(n.min(d.rest.len() / size_of::<T>().max(1)));
-        for _ in 0..n {
-            out.push(T::dec(d)?);
-        }
-        Some(out)
+        seq(d, T::dec)
     }
+}
+
+/// A sequence: its count, then that many items read by `item`.
+fn seq<T>(d: &mut Dec<'_>, mut item: impl FnMut(&mut Dec<'_>) -> Option<T>) -> Option<Vec<T>> {
+    let n = d.len()?;
+    // Reserve no more bytes than the input has left: the count is only
+    // bounded by that many elements, and an element may be far larger in
+    // memory than on the wire. A longer honest vector grows past it.
+    let mut out = Vec::with_capacity(n.min(d.rest.len() / size_of::<T>().max(1)));
+    for _ in 0..n {
+        out.push(item(d)?);
+    }
+    Some(out)
 }
 
 impl<V: Codec> Codec for BTreeMap<String, V> {
@@ -744,7 +733,6 @@ struct_codec! {
     DefWire { layer, from, to }
     DefVia { at, from_layer, to_layer }
     DefSpecialNet { name, shapes }
-    PnrResult { floorplan, powerplan, placement, clock, routing, front_def, back_def }
     Floorplan { die, core, rows, target_utilization, cell_area_nm2 }
     Row { y, x, sites, orient }
     PowerPlan { special_nets, taps, vss_stripe_x }
@@ -785,6 +773,109 @@ impl Codec for Netlist {
         let ports = Vec::dec(d)?;
         Netlist::from_parts(name, instances, nets, ports).ok()
     }
+}
+
+/// Each routed wire once (DESIGN §14.2): after the P&R artifacts, each
+/// side DEF is written by [`enc_side_def`], which refers to `routing` for
+/// what the DEF repeats of it.
+impl Codec for PnrResult {
+    fn enc(&self, e: &mut Enc) {
+        self.floorplan.enc(e);
+        self.powerplan.enc(e);
+        self.placement.enc(e);
+        self.clock.enc(e);
+        self.routing.enc(e);
+        enc_side_def(e, &self.front_def, None, &self.routing);
+        enc_side_def(e, &self.back_def, Some(&self.front_def), &self.routing);
+    }
+
+    fn dec(d: &mut Dec<'_>) -> Option<Self> {
+        let (floorplan, powerplan, placement, clock, routing) = Codec::dec(d)?;
+        let front_def = dec_side_def(d, None, &routing)?;
+        let back_def = dec_side_def(d, Some(&front_def), &routing)?;
+        Some(PnrResult {
+            floorplan,
+            powerplan,
+            placement,
+            clock,
+            routing,
+            front_def,
+            back_def,
+        })
+    }
+}
+
+/// Writes one side DEF of a pnr payload: its header; a flag set when its
+/// components equal `front`'s, which are then not written again (`front`
+/// is `None` for the front DEF itself, whose flag is always clear); per
+/// net its name, connections and the index in `routing.nets` of the
+/// routed net whose wires and vias it equals, or `None` and its own
+/// lists; then its special nets.
+fn enc_side_def(e: &mut Enc, def: &Def, front: Option<&Def>, routing: &RoutingResult) {
+    def.design.enc(e);
+    def.dbu_per_micron.enc(e);
+    def.die.enc(e);
+    let same_components = front.is_some_and(|f| f.components == def.components);
+    e.b(same_components);
+    if !same_components {
+        def.components.enc(e);
+    }
+    // `export_defs` writes a side's nets in the order of its routed nets.
+    let side = front.map_or(Side::Front, |_| Side::Back);
+    let mut routed = (0..routing.nets.len()).filter(|&i| routing.nets[i].side == side);
+    e.u(def.nets.len() as u64);
+    for net in &def.nets {
+        net.name.enc(e);
+        net.connections.enc(e);
+        let same = routed.next().filter(|&i| {
+            let r = &routing.nets[i];
+            r.wires == net.wires && r.vias == net.vias
+        });
+        same.enc(e);
+        if same.is_none() {
+            net.wires.enc(e);
+            net.vias.enc(e);
+        }
+    }
+    def.special_nets.enc(e);
+}
+
+/// Reads what [`enc_side_def`] writes. A components flag without `front`,
+/// or a net index outside `routing.nets`, is a miss.
+fn dec_side_def(d: &mut Dec<'_>, front: Option<&Def>, routing: &RoutingResult) -> Option<Def> {
+    let design = Codec::dec(d)?;
+    let dbu_per_micron = Codec::dec(d)?;
+    let die = Codec::dec(d)?;
+    let components = if d.b()? {
+        front?.components.clone()
+    } else {
+        Codec::dec(d)?
+    };
+    let nets = seq(d, |d| {
+        let name = Codec::dec(d)?;
+        let connections = Codec::dec(d)?;
+        let (wires, vias) = match Option::<usize>::dec(d)? {
+            Some(i) => {
+                let r = routing.nets.get(i)?;
+                (r.wires.clone(), r.vias.clone())
+            }
+            None => (Codec::dec(d)?, Codec::dec(d)?),
+        };
+        Some(DefNet {
+            name,
+            connections,
+            wires,
+            vias,
+        })
+    })?;
+    Some(Def {
+        design,
+        dbu_per_micron,
+        die,
+        components,
+        nets,
+        special_nets: Codec::dec(d)?,
+    })
 }
 
 /// `start_us`/`dur_us` are wall clock: stripped before storage, not
@@ -852,104 +943,102 @@ impl Codec for AttrValue {
 // A stage payload is the version + stage tag prefix, the stage's artifact,
 // then its captured (timing-stripped) trace.
 
-/// A `stage` payload and its FNV-1a hash, the content address, taken in
-/// the pass that writes it.
-fn encode<T: Codec + ?Sized>(stage: Stage, value: &T, data: &PointData) -> (String, u64) {
+/// A `stage` payload: the header, `value` and its trace.
+fn encode<T: Codec + ?Sized>(stage: Stage, value: &T, data: &PointData) -> String {
     let mut e = Enc::new(stage.name());
     value.enc(&mut e);
     data.enc(&mut e);
-    let hash = e.hash;
-    (e.finish(), hash)
+    e.finish()
 }
 
-/// A whole `stage` payload and the FNV-1a hash of its bytes, taken in the
-/// pass that reads them. Decoding requires the payload to be fully
-/// consumed, so every byte is folded exactly once.
-fn decode<T: Codec>(stage: Stage, text: &str) -> Option<((T, PointData), u64)> {
+/// A whole `stage` payload: the header, the value and its trace, with
+/// nothing left over.
+fn decode<T: Codec>(stage: Stage, text: &str) -> Option<(T, PointData)> {
     let mut d = Dec::new(text, stage.name())?;
     let payload = Codec::dec(&mut d)?;
-    d.done().then_some((payload, d.hash))
+    d.done().then_some(payload)
 }
 
 /// Encodes the synth payload: the synthesized netlist plus the stage's
 /// captured (timing-stripped) trace.
 #[must_use]
 pub fn encode_synth(netlist: &Netlist, data: &PointData) -> String {
-    encode(Stage::Synth, netlist, data).0
+    encode(Stage::Synth, netlist, data)
 }
 
 /// Decodes a synth payload; `None` on any mismatch (treated as a miss).
 #[must_use]
 pub fn decode_synth(text: &str) -> Option<(Netlist, PointData)> {
-    decode(Stage::Synth, text).map(|(payload, _)| payload)
+    decode(Stage::Synth, text)
 }
 
 /// Encodes the pnr payload: the post-CTS netlist (P&R inserts clock
 /// buffers), the full [`PnrResult`], and the captured trace.
 #[must_use]
 pub fn encode_pnr(value: &(Netlist, PnrResult), data: &PointData) -> String {
-    encode(Stage::Pnr, value, data).0
+    encode(Stage::Pnr, value, data)
 }
 
 /// Decodes a pnr payload.
 #[must_use]
 pub fn decode_pnr(text: &str) -> Option<((Netlist, PnrResult), PointData)> {
-    decode(Stage::Pnr, text).map(|(payload, _)| payload)
+    decode(Stage::Pnr, text)
 }
 
 /// Encodes the merge payload (the merged dual-sided DEF).
 #[must_use]
 pub fn encode_merge(def: &Def, data: &PointData) -> String {
-    encode(Stage::Merge, def, data).0
+    encode(Stage::Merge, def, data)
 }
 
 /// Decodes a merge payload.
 #[must_use]
 pub fn decode_merge(text: &str) -> Option<(Def, PointData)> {
-    decode(Stage::Merge, text).map(|(payload, _)| payload)
+    decode(Stage::Merge, text)
 }
 
 /// Encodes the signoff payload (the full structured report).
 #[must_use]
 pub fn encode_signoff_payload(report: &SignoffReport, data: &PointData) -> String {
-    encode(Stage::Signoff, report, data).0
+    encode(Stage::Signoff, report, data)
 }
 
 /// Decodes a signoff payload.
 #[must_use]
 pub fn decode_signoff_payload(text: &str) -> Option<(SignoffReport, PointData)> {
-    decode(Stage::Signoff, text).map(|(payload, _)| payload)
+    decode(Stage::Signoff, text)
 }
 
 /// Encodes the rcx payload (per-net parasitics, `None` slots preserved).
 #[must_use]
 pub fn encode_rcx(parasitics: &[Option<NetParasitics>], data: &PointData) -> String {
-    encode(Stage::Rcx, parasitics, data).0
+    encode(Stage::Rcx, parasitics, data)
 }
 
 /// Decodes an rcx payload.
 #[must_use]
 pub fn decode_rcx(text: &str) -> Option<(Vec<Option<NetParasitics>>, PointData)> {
-    decode(Stage::Rcx, text).map(|(payload, _)| payload)
+    decode(Stage::Rcx, text)
 }
 
 /// Encodes the sta payload (timing + power reports).
 #[must_use]
 pub fn encode_sta(value: &(TimingReport, PowerReport), data: &PointData) -> String {
-    encode(Stage::Sta, value, data).0
+    encode(Stage::Sta, value, data)
 }
 
 /// Decodes an sta payload.
 #[must_use]
 pub fn decode_sta(text: &str) -> Option<((TimingReport, PowerReport), PointData)> {
-    decode(Stage::Sta, text).map(|(payload, _)| payload)
+    decode(Stage::Sta, text)
 }
 
 // ---------------------------------------------------------------------------
 // Key derivation
 // ---------------------------------------------------------------------------
 //
-// Keys are canonical strings (then FNV-hashed into the `.key` link name).
+// Keys are canonical strings (then hashed by `blob_hash` into the `.key`
+// link name).
 // Wall-clock/driver-only knobs — `route_jobs`, `deadline_ms`,
 // `max_attempts`, `stage_cache` itself — are deliberately excluded: they
 // never change an artifact byte (§7), so entries shared across them stay
@@ -982,7 +1071,7 @@ pub fn library_sig(config: &FlowConfig) -> String {
 pub fn synth_key(config: &FlowConfig, netlist: &Netlist) -> String {
     let mut e = Enc::new("synth-input");
     netlist.enc(&mut e);
-    let input_hash = hash_hex(e.hash);
+    let input_hash = hash_hex(blob_hash(&e.buf));
     format!(
         "sc{PAYLOAD_VERSION}|synth|{:?}|{}|{input_hash}",
         config.tech,
@@ -1077,55 +1166,20 @@ impl StageCache {
 
     fn key_path(&self, key: &str) -> PathBuf {
         self.root
-            .join(format!("{}.key", hash_hex(fnv1a64(key.as_bytes()))))
-    }
-
-    /// The blob address `key`'s link names, if the link exists.
-    fn link(&self, key: &str) -> Option<String> {
-        let addr = fs::read_to_string(self.key_path(key)).ok()?;
-        Some(addr.trim().to_owned())
+            .join(format!("{}.key", hash_hex(blob_hash(key.as_bytes()))))
     }
 
     /// Looks `key` up: resolves its link, reads the payload blob and
     /// re-verifies the content address. Any failure — missing link,
     /// malformed address, missing blob, hash mismatch (a poisoned object)
-    /// — is a miss.
+    /// — is a miss. A stage of [`crate::run_flow`] hits exactly when this
+    /// returns a body that then decodes.
     #[must_use]
     pub fn lookup(&self, key: &str) -> Option<(String, String)> {
-        let addr = self.link(key)?;
-        let body = valid_blob(&self.root, &addr)?;
-        Some((addr, body))
-    }
-
-    /// The hit path of [`run_stage`]: `key`'s blob, decoded as a `stage`
-    /// payload in the same pass that re-hashes it, with its address. The
-    /// blob must meet the rule of [`valid_blob`], evaluated on the
-    /// decoder's hash; anything else is a miss.
-    fn hit<T: Codec>(&self, key: &str, stage: Stage) -> Option<((T, PointData), String)> {
-        let addr = self.link(key)?;
-        let body = read_blob(&self.root, &addr)?;
-        let (payload, hash) = decode(stage, &body)?;
-        addressed(hash, &addr).then_some((payload, addr))
-    }
-
-    /// Does what a stage of [`crate::run_flow`] does on a hit, short of
-    /// using the value: reads `key`'s blob and decodes it as a `stage`
-    /// payload while checking its address. Returns the address, or `None`
-    /// where the stage would miss. For benches and diagnostics; the
-    /// separate re-hash is [`lookup`](Self::lookup).
-    #[must_use]
-    pub fn probe(&self, key: &str, stage: Stage) -> Option<String> {
-        fn addr<T>(hit: Option<(T, String)>) -> Option<String> {
-            hit.map(|(_, addr)| addr)
-        }
-        match stage {
-            Stage::Synth => addr(self.hit::<Netlist>(key, stage)),
-            Stage::Pnr => addr(self.hit::<(Netlist, PnrResult)>(key, stage)),
-            Stage::Merge => addr(self.hit::<Def>(key, stage)),
-            Stage::Signoff => addr(self.hit::<SignoffReport>(key, stage)),
-            Stage::Rcx => addr(self.hit::<Vec<Option<NetParasitics>>>(key, stage)),
-            Stage::Sta => addr(self.hit::<(TimingReport, PowerReport)>(key, stage)),
-        }
+        let addr = fs::read_to_string(self.key_path(key)).ok()?;
+        let addr = addr.trim();
+        let body = valid_blob(&self.root, addr)?;
+        Some((addr.to_owned(), body))
     }
 
     /// Stores `payload` under `key` and returns its content address.
@@ -1136,12 +1190,7 @@ impl StageCache {
     /// a poisoned blob stays a deterministic miss until `gc` removes it.
     #[must_use]
     pub fn store(&self, key: &str, stage: &'static str, payload: &str) -> Option<String> {
-        self.store_at(key, stage, payload, hash_hex(fnv1a64(payload.as_bytes())))
-    }
-
-    /// [`store`](Self::store) with the payload's address already known
-    /// (from the pass that encoded it).
-    fn store_at(&self, key: &str, stage: &str, payload: &str, addr: String) -> Option<String> {
+        let addr = hash_hex(blob_hash(payload.as_bytes()));
         let blob = blob_path(&self.root, &addr);
         let newly_written = if blob.exists() {
             false
@@ -1177,28 +1226,68 @@ fn blob_path(root: &Path, addr: &str) -> PathBuf {
 }
 
 /// The body of blob `addr`, if the blob is valid: `addr` is 16 hex digits
-/// and the body re-hashes to it. The one validity rule of the store, in
-/// two halves: [`read_blob`] and [`addressed`]. [`StageCache::lookup`],
-/// [`verify`] and [`gc`] evaluate it here, hashing up front;
-/// [`StageCache::hit`] evaluates the same halves on the hash its decoder
-/// folds.
+/// and the body hashes to it. The one validity rule of the store, which
+/// [`StageCache::lookup`] (and so every stage hit), [`verify`] and [`gc`]
+/// evaluate before anything reads the body.
 fn valid_blob(root: &Path, addr: &str) -> Option<String> {
-    let body = read_blob(root, addr)?;
-    addressed(fnv1a64(body.as_bytes()), addr).then_some(body)
-}
-
-/// The body of blob `addr`, if `addr` is 16 hex digits and the blob reads
-/// as UTF-8. Nothing is checked against the address yet.
-fn read_blob(root: &Path, addr: &str) -> Option<String> {
     if addr.len() != 16 || !addr.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
-    fs::read_to_string(blob_path(root, addr)).ok()
+    let body = fs::read_to_string(blob_path(root, addr)).ok()?;
+    (hash_hex(blob_hash(body.as_bytes())) == addr).then_some(body)
 }
 
-/// Whether a body with FNV-1a `hash` is the blob named `addr`.
-fn addressed(hash: u64, addr: &str) -> bool {
-    hash_hex(hash) == addr
+/// Multiplies `a` by `b` into 128 bits and folds the high half onto the
+/// low one.
+#[inline(always)]
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ (product >> 64) as u64
+}
+
+/// The content address of a blob body, and the name of a key link
+/// (DESIGN §14.2). Four independent lanes take the body's 8-byte words in
+/// turn, read little-endian so that addresses do not depend on the host's
+/// byte order, and mix each in by a folded 64×64→128-bit multiply; the
+/// last partial stripe is zero-padded. The lanes are then folded in order
+/// into the body length, and a final avalanche step spreads every input
+/// bit over the result. Not `std::hash`, whose output may change between
+/// releases: addresses outlive the binary that wrote them.
+fn blob_hash(bytes: &[u8]) -> u64 {
+    // The lanes' starting states: the first hex digits of π's fraction.
+    const START: [u64; 4] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    // Odd multipliers: 2^64 / φ and the two of MurmurHash3's finalizer.
+    const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+    const AVALANCHE: [u64; 2] = [0xff51_afd7_ed55_8ccd, 0xc4ce_b9fe_1a85_ec53];
+    let stripe = |lanes: &mut [u64; 4], words: &[u8; 32]| {
+        for (lane, word) in lanes.iter_mut().zip(words.as_chunks::<8>().0) {
+            *lane = fold_mul(*lane ^ u64::from_le_bytes(*word), MIX);
+        }
+    };
+    let mut lanes = START;
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    for words in stripes {
+        stripe(&mut lanes, words);
+    }
+    if !tail.is_empty() {
+        let mut padded = [0; 32];
+        padded[..tail.len()].copy_from_slice(tail);
+        stripe(&mut lanes, &padded);
+    }
+    let mut h = bytes.len() as u64;
+    for lane in lanes {
+        h = fold_mul(h ^ lane, MIX);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(AVALANCHE[0]);
+    h ^= h >> 33;
+    h = h.wrapping_mul(AVALANCHE[1]);
+    h ^ h >> 33
 }
 
 /// The JSON body of one manifest record.
@@ -1454,15 +1543,14 @@ pub fn gc(root: &Path) -> std::io::Result<GcReport> {
 /// - `cache`/`key` absent → `compute` runs inline under the ambient
 ///   collector, exactly as an uncached flow would (zero overhead, byte-
 ///   identical event stream).
-/// - Hit → the payload is decoded in the pass that checks its address
-///   ([`StageCache::hit`]), its captured trace is [`ffet_obs::replay`]ed
-///   (root spans get `cached=true`; their stored durations are zero), and
-///   the artifact is returned.
+/// - Hit → [`StageCache::lookup`] returns the blob, checked against its
+///   address, and the payload decodes; its captured trace is
+///   [`ffet_obs::replay`]ed (root spans get `cached=true`; their stored
+///   durations are zero), and the artifact is returned.
 /// - Miss → `compute` runs under [`ffet_obs::capture`]; on success the
 ///   capture is replayed (`cached=false`), timing-stripped, encoded and
-///   stored under the hash the encoder took. Errors are replayed but never
-///   stored, so failed attempts (timeouts, dirty signoff) cannot populate
-///   the cache.
+///   stored. Errors are replayed but never stored, so failed attempts
+///   (timeouts, dirty signoff) cannot populate the cache.
 ///
 /// Returns `(artifact, payload_addr)`; the address is `None` when uncached
 /// or when the store failed (downstream stages then skip caching too,
@@ -1480,7 +1568,10 @@ pub(crate) fn run_stage<T: Codec, E>(
     let (Some(cache), Some(key)) = (cache, key) else {
         return Ok((compute()?, None));
     };
-    if let Some(((value, data), addr)) = cache.hit(&key, stage) {
+    let hit = cache
+        .lookup(&key)
+        .and_then(|(addr, body)| Some((decode(stage, &body)?, addr)));
+    if let Some(((value, data), addr)) = hit {
         ffet_obs::cache_event("cache.hit", stage.name());
         ffet_obs::replay(
             &data,
@@ -1499,8 +1590,8 @@ pub(crate) fn run_stage<T: Codec, E>(
     );
     let value = result?;
     ffet_obs::strip_point_timing(&mut data);
-    let (payload, hash) = encode(stage, &value, &data);
-    let addr = cache.store_at(&key, stage.name(), &payload, hash_hex(hash));
+    let payload = encode(stage, &value, &data);
+    let addr = cache.store(&key, stage.name(), &payload);
     if addr.is_some() {
         ffet_obs::cache_event("cache.store", stage.name());
     }
@@ -2255,21 +2346,19 @@ mod tests {
         assert_eq!(power.total_mw(), outcome.report.power_mw);
     }
 
-    /// A stored `stage` payload decoded and re-encoded: the re-encoded
-    /// text, the encoder's hash and the decoder's hash.
-    fn codec_hashes(stage: Stage, body: &str) -> (String, u64, u64) {
-        fn both<T: Codec>(stage: Stage, body: &str) -> (String, u64, u64) {
-            let ((value, data), read) = decode::<T>(stage, body).expect("decodes");
-            let (text, written) = encode(stage, &value, &data);
-            (text, written, read)
+    /// A stored `stage` payload, decoded and encoded again.
+    fn reencoded(stage: Stage, body: &str) -> String {
+        fn again<T: Codec>(stage: Stage, body: &str) -> String {
+            let (value, data) = decode::<T>(stage, body).expect("decodes");
+            encode(stage, &value, &data)
         }
         match stage {
-            Stage::Synth => both::<Netlist>(stage, body),
-            Stage::Pnr => both::<(Netlist, PnrResult)>(stage, body),
-            Stage::Merge => both::<Def>(stage, body),
-            Stage::Signoff => both::<SignoffReport>(stage, body),
-            Stage::Rcx => both::<Vec<Option<NetParasitics>>>(stage, body),
-            Stage::Sta => both::<(TimingReport, PowerReport)>(stage, body),
+            Stage::Synth => again::<Netlist>(stage, body),
+            Stage::Pnr => again::<(Netlist, PnrResult)>(stage, body),
+            Stage::Merge => again::<Def>(stage, body),
+            Stage::Signoff => again::<SignoffReport>(stage, body),
+            Stage::Rcx => again::<Vec<Option<NetParasitics>>>(stage, body),
+            Stage::Sta => again::<(TimingReport, PowerReport)>(stage, body),
         }
     }
 
@@ -2314,18 +2403,159 @@ mod tests {
                     .into_iter()
                     .find(|s| s.name() == name)
                     .expect("stage");
-                let (text, written, read) = codec_hashes(stage, &body);
-                assert_eq!(text, body, "{tag} {name}: re-encoding drifted");
                 assert_eq!(
-                    written,
-                    fnv1a64(body.as_bytes()),
-                    "{tag} {name}: encoder hash"
+                    reencoded(stage, &body),
+                    body,
+                    "{tag} {name}: re-encoding drifted"
                 );
-                assert_eq!(hash_hex(written), addr, "{tag} {name}: blob name");
-                assert_eq!(read, written, "{tag} {name}: decoder hash");
+                assert_eq!(
+                    hash_hex(blob_hash(body.as_bytes())),
+                    addr,
+                    "{tag} {name}: blob name"
+                );
             }
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    /// The first `len` bytes of a fixed 200-byte pattern.
+    fn hash_input(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(37) ^ 0x5a)
+            .collect()
+    }
+
+    #[test]
+    fn blob_hash_has_known_answers() {
+        // Lengths around the 8-byte word and the 32-byte stripe. The words
+        // are read little-endian, so these hold on any host.
+        let known = [
+            (0, 0x7be5_60e1_70df_7177),
+            (1, 0xbb3b_8b0a_1d0e_084b),
+            (7, 0xa9bc_d1c3_2834_51ff),
+            (8, 0xd1e1_51f2_8878_2401),
+            (63, 0x6c9b_0263_5ebb_75cf),
+            (64, 0x68d4_a4ca_e325_eb39),
+            (65, 0x53d9_de64_32da_f4de),
+            (128, 0x550c_de04_bf97_0020),
+        ];
+        for (len, want) in known {
+            let got = blob_hash(&hash_input(len));
+            assert_eq!(got, want, "length {len}: {got:#018x}");
+        }
+    }
+
+    #[test]
+    fn blob_hash_changes_on_every_flip_and_truncation() {
+        // Every single-bit flip and every proper prefix of a 200-byte
+        // payload hashes differently from it, and from each other.
+        let payload = hash_input(200);
+        let mut seen = BTreeSet::from([blob_hash(&payload)]);
+        for at in 0..payload.len() {
+            for bit in 0..8 {
+                let mut flipped = payload.clone();
+                flipped[at] ^= 1 << bit;
+                assert!(seen.insert(blob_hash(&flipped)), "bit {bit} of byte {at}");
+            }
+        }
+        for len in 0..payload.len() {
+            assert!(seen.insert(blob_hash(&payload[..len])), "prefix of {len}");
+        }
+    }
+
+    /// A pnr artifact holding one front routed net and its side-DEF net,
+    /// and nothing else.
+    fn tiny_pnr() -> PnrResult {
+        let die = Rect::new(0, 0, 100, 100);
+        let layer = LayerId {
+            side: Side::Front,
+            index: 1,
+        };
+        let wires = vec![DefWire {
+            layer,
+            from: Point::new(5, 5),
+            to: Point::new(50, 5),
+        }];
+        let mut front_def = Def::new("d", die);
+        front_def.nets.push(DefNet {
+            name: "a".to_owned(),
+            connections: Vec::new(),
+            wires: wires.clone(),
+            vias: Vec::new(),
+        });
+        PnrResult {
+            floorplan: Floorplan {
+                die,
+                core: die,
+                rows: Vec::new(),
+                target_utilization: 0.5,
+                cell_area_nm2: 0,
+            },
+            powerplan: PowerPlan {
+                special_nets: Vec::new(),
+                taps: Vec::new(),
+                vss_stripe_x: Vec::new(),
+            },
+            placement: Placement {
+                origins: Vec::new(),
+                orients: Vec::new(),
+                violations: 0,
+                hpwl_nm: 0,
+                port_positions: Vec::new(),
+            },
+            clock: ClockTree {
+                buffers: Vec::new(),
+                levels: 0,
+                sink_count: 0,
+            },
+            routing: RoutingResult {
+                nets: vec![RoutedNet {
+                    net: NetId(0),
+                    side: Side::Front,
+                    wires,
+                    vias: Vec::new(),
+                }],
+                overflow_tracks: 0.0,
+                drv_count: 0,
+                wirelength_nm: 45,
+                via_count: 0,
+                peak_congestion: 0.0,
+                back_wirelength_nm: 0,
+                hot_gcells: Vec::new(),
+            },
+            front_def,
+            back_def: Def::new("d", die),
+        }
+    }
+
+    #[test]
+    fn side_def_nets_unlike_their_routed_nets_round_trip_explicitly() {
+        // The pnr artifact of a real counter flow, with one front-DEF
+        // net's wires and one back-DEF component made to differ from what
+        // the payload would otherwise refer to: both are written out.
+        let (outcome, _, payloads) = counter_flow("explicit-path");
+        let stored = stored(&payloads, Stage::Pnr);
+        let ((netlist, mut pnr), data) = decode_pnr(stored).expect("pnr decode");
+        let net = pnr.front_def.nets.iter_mut().find(|n| !n.wires.is_empty());
+        net.expect("a routed front net").wires[0].to.x += 1;
+        pnr.back_def.components[0].origin.x += 1;
+        let back = round_trip(&pnr);
+        assert_eq!(back.front_def, pnr.front_def);
+        assert_eq!(back.back_def, pnr.back_def);
+        assert_eq!(back.routing.nets, outcome.pnr.routing.nets);
+        let payload = encode_pnr(&(netlist, pnr), &data);
+        assert!(
+            payload.len() > stored.len(),
+            "the explicit lists are written"
+        );
+        // The DEF of a hand-built artifact with no routed net to refer to.
+        let mut lone = tiny_pnr();
+        lone.routing.nets.clear();
+        let back = round_trip(&lone);
+        assert_eq!(
+            (back.front_def, back.back_def),
+            (lone.front_def, lone.back_def)
+        );
     }
 
     /// Whether `T` decodes from exactly the tokens `write` emits.
@@ -2440,6 +2670,43 @@ mod tests {
             "a count of every byte left"
         );
 
+        // A pnr artifact whose front-DEF net refers to routed net `index`,
+        // with the front DEF's "same components" flag `front_flag`.
+        let pnr = tiny_pnr();
+        let pnr_tokens = |index: u64, front_flag: bool| {
+            let pnr = &pnr;
+            move |e: &mut Enc| {
+                pnr.floorplan.enc(e);
+                pnr.powerplan.enc(e);
+                pnr.placement.enc(e);
+                pnr.clock.enc(e);
+                pnr.routing.enc(e);
+                let front = &pnr.front_def;
+                front.design.enc(e);
+                front.dbu_per_micron.enc(e);
+                front.die.enc(e);
+                e.b(front_flag);
+                if !front_flag {
+                    front.components.enc(e);
+                }
+                e.u(1);
+                front.nets[0].name.enc(e);
+                front.nets[0].connections.enc(e);
+                Some(index).enc(e);
+                front.special_nets.enc(e);
+                enc_side_def(e, &pnr.back_def, Some(front), &pnr.routing);
+            }
+        };
+        assert!(accepts::<PnrResult>(pnr_tokens(0, false)));
+        assert!(
+            !accepts::<PnrResult>(pnr_tokens(1, false)),
+            "routed-net index past the end"
+        );
+        assert!(
+            !accepts::<PnrResult>(pnr_tokens(0, true)),
+            "same-components flag on the front DEF"
+        );
+
         // Whole payloads: a synth payload whose two nets are named `a` and
         // `b`, then one whose nets are both `a`.
         let synth = |second: &str| {
@@ -2512,7 +2779,7 @@ mod tests {
         assert_eq!(s.per_stage["pnr"], (1, 8));
         assert_eq!(s.unattributed, 0);
         // Remove the links to k2: its blob becomes garbage.
-        fs::remove_file(dir.join(format!("{}.key", hash_hex(fnv1a64(b"k2"))))).expect("rm");
+        fs::remove_file(dir.join(format!("{}.key", hash_hex(blob_hash(b"k2"))))).expect("rm");
         let g = gc(&dir).expect("gc");
         assert_eq!(g.removed_blobs, 1);
         assert_eq!(g.freed_bytes, 8);
@@ -2547,7 +2814,7 @@ mod tests {
         let blob = blob_path(&dir, &addr);
         let body = fs::read_to_string(&blob).expect("blob");
         let tampered = body.replacen(" 1200 ", " 1201 ", 1);
-        let decoded = decode::<Vec<i64>>(Stage::Pnr, &tampered).map(|((v, _), _)| v);
+        let decoded = decode::<Vec<i64>>(Stage::Pnr, &tampered).map(|(v, _)| v);
         assert_eq!(decoded, Some(vec![1201, -340, 56]));
         fs::write(&blob, tampered).expect("tamper");
         assert_eq!(

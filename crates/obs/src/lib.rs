@@ -34,7 +34,7 @@ pub use export::{chrome_trace, validate_chrome_trace, ChromeTraceStats};
 pub use json::{parse_json, Json};
 pub use ledger::{Ledger, LedgerEntry, LedgerTiming};
 pub use metrics::{Histogram, MetricsSnapshot, BUCKET_EDGES};
-pub use record::{fnv1a64, fnv1a64_fold, hash_hex, FNV1A64_START};
+pub use record::{fnv1a64, hash_hex};
 pub use render::render_point;
 pub use trace::{
     parse_point, point_labels, strip_timing, validate_trace, LabeledPoint, RunArtifacts,

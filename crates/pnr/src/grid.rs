@@ -217,8 +217,8 @@ impl RoutingGrid {
 
     /// Overflow decomposed by wafer side and routing axis:
     /// `[side][axis]` with side 0 = front / 1 = back and axis 0 =
-    /// horizontal / 1 = vertical, in tracks. Sums to [`total_overflow`]
-    /// (`Self::total_overflow`). The per-side split is the paper's "which
+    /// horizontal / 1 = vertical, in tracks. Sums to
+    /// [`Self::total_overflow`]. The per-side split is the paper's "which
     /// wafer side ran out of resource" diagnostic; the axis split
     /// distinguishes track exhaustion from via-access pressure.
     #[must_use]

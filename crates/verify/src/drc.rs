@@ -113,17 +113,15 @@ pub fn check_routing(
     let mut demand = RoutingGrid::new(tech, die, pattern);
     seed_pin_demand(netlist, library, pnr, &mut demand, pattern);
 
-    let mut routed_keys: FxHashSet<(u32, Side)> = FxHashSet::default();
     for routed in &pnr.routing.nets {
-        let name = netlist.net(routed.net).name.clone();
+        let name = &netlist.net(routed.net).name;
         let side = routed.side;
         let sr = side_rules(side);
-        routed_keys.insert((routed.net.0, side));
 
         for wire in &routed.wires {
             check_wire(
                 &mut out,
-                &name,
+                name,
                 side,
                 sr,
                 tech,
@@ -135,7 +133,7 @@ pub fn check_routing(
             add_wire_demand(&mut demand, side, wire);
         }
         for via in &routed.vias {
-            check_via(&mut out, &name, side, sr, bounds, via);
+            check_via(&mut out, name, side, sr, bounds, via);
         }
     }
 
@@ -164,11 +162,10 @@ pub fn check_routing(
         }
     }
     // Routed geometry with no decomposed counterpart is extra topology.
+    let decomposed: FxHashSet<(u32, Side)> =
+        side_nets.iter().map(|sn| (sn.net.0, sn.side)).collect();
     for routed in &pnr.routing.nets {
-        let known = side_nets
-            .iter()
-            .any(|sn| sn.net == routed.net && sn.side == routed.side);
-        if !known {
+        if !decomposed.contains(&(routed.net.0, routed.side)) {
             out.push(Violation {
                 rule: "drc.extra-routing",
                 severity: Severity::Error,
@@ -216,12 +213,13 @@ fn check_wire(
     on_track_y: &FxHashSet<i64>,
     wire: &DefWire,
 ) {
-    let subject = format!("{net}/{}", wire.layer);
+    // Built only for a violation: most wires have none.
+    let subject = || format!("{net}/{}", wire.layer);
     if wire.from.x != wire.to.x && wire.from.y != wire.to.y {
         out.push(Violation {
             rule: "drc.non-manhattan",
             severity: Severity::Error,
-            subject,
+            subject: subject(),
             location: Some(wire.from),
             message: format!(
                 "wire ({},{})→({},{}) is not axis-aligned",
@@ -235,7 +233,7 @@ fn check_wire(
             out.push(Violation {
                 rule: "drc.off-die",
                 severity: Severity::Error,
-                subject: subject.clone(),
+                subject: subject(),
                 location: Some(p),
                 message: "wire endpoint outside the routable area".to_owned(),
             });
@@ -248,7 +246,7 @@ fn check_wire(
         out.push(Violation {
             rule: "drc.layer-range",
             severity: Severity::Error,
-            subject: subject.clone(),
+            subject: subject(),
             location: Some(wire.from),
             message: format!("{side}side net routed on {id}"),
         });
@@ -260,7 +258,7 @@ fn check_wire(
         out.push(Violation {
             rule: "drc.layer-range",
             severity: Severity::Error,
-            subject: subject.clone(),
+            subject: subject(),
             location: Some(wire.from),
             message: format!(
                 "{id} is outside the routable range (max index {})",
@@ -290,7 +288,7 @@ fn check_wire(
         out.push(Violation {
             rule: "drc.wrong-direction",
             severity,
-            subject: subject.clone(),
+            subject: subject(),
             location: Some(wire.from),
             message: format!("{axis} wire on {id} (preferred {})", id.axis()),
         });
@@ -303,7 +301,7 @@ fn check_wire(
         out.push(Violation {
             rule: "drc.off-track",
             severity: Severity::Warning,
-            subject,
+            subject: subject(),
             location: Some(wire.from),
             message: "wire is on neither a GCell center line nor a pin track".to_owned(),
         });
@@ -318,12 +316,12 @@ fn check_via(
     bounds: Rect,
     via: &DefVia,
 ) {
-    let subject = format!("{net}/{}-{}", via.from_layer, via.to_layer);
+    let subject = || format!("{net}/{}-{}", via.from_layer, via.to_layer);
     if !bounds.contains(via.at) {
         out.push(Violation {
             rule: "drc.off-die",
             severity: Severity::Error,
-            subject: subject.clone(),
+            subject: subject(),
             location: Some(via.at),
             message: "via outside the routable area".to_owned(),
         });
@@ -335,7 +333,7 @@ fn check_via(
             out.push(Violation {
                 rule: "drc.layer-range",
                 severity: Severity::Error,
-                subject: subject.clone(),
+                subject: subject(),
                 location: Some(via.at),
                 message: format!(
                     "via touches {id}, outside the {side}side routable range (max index {})",

@@ -15,7 +15,7 @@
 use ffet_core::experiments::{self, utilization_sweep, DesignKind};
 use ffet_core::stagecache;
 use ffet_core::{designs, run_flow, Fault, FaultKind, FaultPlan, FlowConfig, Pool};
-use ffet_tech::{RoutingPattern, TechKind};
+use ffet_tech::{RoutingPattern, Side, TechKind};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -211,8 +211,19 @@ fn flip_a_wire_digit(payload: &str) -> Option<(&'static str, String)> {
         wires.first_mut().expect("a routed wire").from.x ^= 1;
     }
     if let Some(((netlist, mut pnr), data)) = stagecache::decode_pnr(payload) {
+        // The pnr payload stores a side-DEF net's wires as a reference to
+        // the routed net they equal, so flip the wire in both: the DEF net
+        // still refers to the routed net, and one digit changes.
         let net = pnr.routing.nets.iter_mut().find(|n| !n.wires.is_empty());
-        flip(&mut net.expect("a routed net").wires);
+        let net = net.expect("a routed net");
+        let def = match net.side {
+            Side::Front => &mut pnr.front_def,
+            Side::Back => &mut pnr.back_def,
+        };
+        let name = &netlist.net(net.net).name;
+        let def_net = def.nets.iter_mut().find(|n| &n.name == name);
+        flip(&mut def_net.expect("the side-DEF net of the routed net").wires);
+        flip(&mut net.wires);
         return Some(("pnr", stagecache::encode_pnr(&(netlist, pnr), &data)));
     }
     let (mut def, data) = stagecache::decode_merge(payload)?;
@@ -311,16 +322,19 @@ fn faulted_runs_never_touch_the_cache() {
 }
 
 /// The `(stage, blob address, bytes)` list one RV32 point stores, recorded
-/// before the codec's scalar readers and writers were rewritten at the
-/// byte level. The address is the FNV-1a hash of the payload, so an equal
-/// address with an equal length pins every payload byte.
+/// for payload version 2. The address is the content hash of the payload,
+/// so an equal address with an equal length pins every payload byte.
+/// Besides the version token, synth, merge, signoff, rcx and sta are the
+/// version-1 bytes recorded before the codec's scalar readers and writers
+/// were rewritten at the byte level; pnr stores each routed wire once
+/// and decodes to the version-1 value (DESIGN §14.2).
 const RV32_PAYLOADS: [(&str, &str, u64); 6] = [
-    ("merge", "3a0ff2e4a2102d1e", 3599984),
-    ("pnr", "23e14b9f1c273b4a", 7607467),
-    ("rcx", "c26150b121591c56", 973047),
-    ("signoff", "e72e305577dd8bf6", 1739),
-    ("sta", "edfb61c0145965ba", 2754),
-    ("synth", "eaed018610e9ccc6", 664355),
+    ("merge", "1c5272144eaf4c73", 3599984),
+    ("pnr", "636f0e47bcf12bf5", 4608914),
+    ("rcx", "c8b81f9718e797cf", 973047),
+    ("signoff", "6b1086199ea2e5de", 1739),
+    ("sta", "7080eecf3287dc04", 2754),
+    ("synth", "6546864cb45a15b5", 664355),
 ];
 
 /// One RV32 point through `run_flow` with a scratch stage cache must store
@@ -358,7 +372,7 @@ fn rv32_stage_payloads_are_pinned() {
             continue;
         }
         let body = std::fs::read_to_string(&path).expect("blob is UTF-8");
-        // Every payload opens with `1 <len>:<stage> `.
+        // Every payload opens with `2 <len>:<stage> `.
         let tag = body.split(' ').nth(1).expect("stage tag");
         let stage = tag.split_once(':').expect("length-prefixed tag").1;
         let addr = path.file_stem().and_then(|s| s.to_str()).expect("address");
