@@ -4,7 +4,8 @@
 //! (or disappears) makes its baseline entry stale, which is also a gate
 //! failure (`B001`) — the baseline can never drift above reality.
 
-use crate::report::{Finding, CODE_STALE_BASELINE};
+use crate::report::{Finding, CODE_BYTE_READER_BASELINE, CODE_STALE_BASELINE};
+use crate::rules::reads_bytes;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -77,6 +78,8 @@ impl Baseline {
     ///   (handled by the caller via [`Baseline::allowance`]).
     /// - `actual < frozen` or file missing: emits a `B001` stale-entry
     ///   finding pointing at the baseline file line.
+    /// - the entry names a file that reads on-disk bytes: emits a `B002`
+    ///   finding; such a file may hold no R001 debt at all.
     ///
     /// Returns the number of findings suppressed as baselined.
     pub fn reconcile(
@@ -87,6 +90,18 @@ impl Baseline {
     ) -> usize {
         let mut baselined = 0usize;
         for (path, &(frozen, bline)) in &self.entries {
+            if reads_bytes(path) {
+                findings.push(Finding::new(
+                    baseline_path,
+                    bline,
+                    CODE_BYTE_READER_BASELINE,
+                    format!(
+                        "{path} reads on-disk bytes and may hold no R001 debt: fix its \
+                         findings and delete this entry"
+                    ),
+                ));
+                continue;
+            }
             let have = actual.get(path).copied().unwrap_or(0);
             if have < frozen {
                 findings.push(Finding::new(

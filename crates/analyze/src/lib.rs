@@ -11,7 +11,8 @@
 //! - **D003** no wall-clock reads outside the timing modules;
 //! - **D004** no thread spawning outside the `ffet-pool` work-stealing pool;
 //! - **R001** no `unwrap()`/`expect()`/`panic!` outside tests (existing
-//!   debt frozen in a checked-in baseline, see [`baseline`]);
+//!   debt frozen in a checked-in baseline, see [`baseline`]; none at all,
+//!   frozen or waived, in the [`rules::BYTE_READERS`]);
 //! - **M001** metric/span names in code ⇆ the DESIGN §9 catalog.
 //!
 //! Violations are waived inline with
@@ -48,8 +49,29 @@ const SELF_CRATE: &str = "analyze";
 pub struct Workspace {
     /// Findings, stats, and renderers.
     pub analysis: Analysis,
-    /// Post-waiver R001 occurrences per file (input to the baseline).
+    /// Post-waiver R001 occurrences per file (input to the baseline). The
+    /// [`rules::BYTE_READERS`] never appear: they take no baseline.
     pub r001_counts: BTreeMap<String, u32>,
+}
+
+impl Workspace {
+    /// The `--bless-baseline` text for this analysis (made against an empty
+    /// baseline), or the R001 findings in files that read on-disk bytes,
+    /// which no baseline may freeze.
+    ///
+    /// # Errors
+    ///
+    /// The byte-reader R001 findings that block the bless.
+    pub fn bless(&self) -> Result<String, Vec<&Finding>> {
+        let blocked: Vec<&Finding> = (self.analysis.findings.iter())
+            .filter(|f| f.code == "R001" && rules::reads_bytes(&f.file))
+            .collect();
+        if blocked.is_empty() {
+            Ok(Baseline::render(&self.r001_counts))
+        } else {
+            Err(blocked)
+        }
+    }
 }
 
 /// Scans one source file (already read) through the full per-file pipeline:
@@ -100,12 +122,14 @@ pub fn analyze_workspace(root: &Path, baseline: &Baseline) -> Result<Workspace, 
         &mut findings,
     );
 
-    // R001: apply the frozen-debt baseline.
-    for f in findings.iter().filter(|f| f.code == "R001") {
+    // R001: apply the frozen-debt baseline. Files that read on-disk bytes
+    // take none: their findings always stay in the report.
+    let frozen_debt = |f: &Finding| f.code == "R001" && !rules::reads_bytes(&f.file);
+    for f in findings.iter().filter(|f| frozen_debt(f)) {
         *ws.r001_counts.entry(f.file.clone()).or_default() += 1;
     }
     for f in &mut findings {
-        if f.code == "R001" {
+        if frozen_debt(f) {
             let have = ws.r001_counts.get(&f.file).copied().unwrap_or(0);
             let frozen = baseline.allowance(&f.file);
             if have > frozen {
@@ -113,11 +137,14 @@ pub fn analyze_workspace(root: &Path, baseline: &Baseline) -> Result<Workspace, 
                     " (file has {have} non-waived, baseline allows {frozen})"
                 ));
             }
+        } else if f.code == "R001" {
+            f.message
+                .push_str(" (this file reads on-disk bytes: no baseline or waiver covers R001)");
         }
     }
     let counts = &ws.r001_counts;
     findings.retain(|f| {
-        f.code != "R001" || counts.get(&f.file).copied().unwrap_or(0) > baseline.allowance(&f.file)
+        !frozen_debt(f) || counts.get(&f.file).copied().unwrap_or(0) > baseline.allowance(&f.file)
     });
     ws.analysis.baselined = baseline.reconcile(BASELINE_PATH, counts, &mut findings);
 

@@ -63,9 +63,18 @@ fn run() -> Result<bool, String> {
 
     if args.bless {
         // Bless against an empty baseline: every current R001 count is the
-        // new frozen debt.
+        // new frozen debt, unless a file that reads on-disk bytes has any.
         let ws: Workspace = analyze_workspace(&args.root, &Baseline::default())?;
-        let text = Baseline::render(&ws.r001_counts);
+        let text = match ws.bless() {
+            Ok(text) => text,
+            Err(blocked) => {
+                for f in blocked {
+                    println!("{f}");
+                }
+                eprintln!("ffet-analyze: nothing blessed: R001 in a byte reader must be fixed");
+                return Ok(false);
+            }
+        };
         std::fs::write(&baseline_path, &text)
             .map_err(|e| format!("write {}: {e}", baseline_path.display()))?;
         println!(

@@ -13,6 +13,10 @@ pub const CODE_MALFORMED_WAIVER: &str = "W001";
 pub const CODE_UNUSED_WAIVER: &str = "W002";
 /// Stale R001 baseline entry (debt paid down or file gone — re-bless).
 pub const CODE_STALE_BASELINE: &str = "B001";
+/// R001 baseline entry naming a file that reads on-disk bytes.
+pub const CODE_BYTE_READER_BASELINE: &str = "B002";
+/// `allow(R001)` waiver in a file that reads on-disk bytes.
+pub const CODE_BYTE_READER_WAIVER: &str = "W003";
 
 /// One analyzer finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,7 +25,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule code (`D001`…`M001`, `W00x`, `B001`).
+    /// Rule code (`D001`…`M001`, `W00x`, `B00x`).
     pub code: String,
     /// Human-readable message.
     pub message: String,
@@ -41,6 +45,16 @@ impl Finding {
     /// Sort key: file, then line, then code, then message.
     fn key(&self) -> (&str, u32, &str, &str) {
         (&self.file, self.line, &self.code, &self.message)
+    }
+}
+
+impl std::fmt::Display for Finding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}:{}: {} {}",
+            self.file, self.line, self.code, self.message
+        )
     }
 }
 
@@ -74,7 +88,7 @@ impl Analysis {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
-            let _ = writeln!(out, "{}:{}: {} {}", f.file, f.line, f.code, f.message);
+            let _ = writeln!(out, "{f}");
         }
         if self.is_clean() {
             let _ = writeln!(

@@ -6,7 +6,7 @@
 //! | D002 | determinism | no unsorted iteration over hash maps in artifact-producing crates |
 //! | D003 | determinism | no `Instant::now`/`SystemTime` outside the timing modules |
 //! | D004 | determinism | no thread spawning outside the `ffet-pool` work-stealing pool |
-//! | R001 | robustness  | no `unwrap()`/`expect()`/`panic!` outside tests (baseline-frozen) |
+//! | R001 | robustness  | no `unwrap()`/`expect()`/`panic!` outside tests (baseline-frozen; none at all in [`BYTE_READERS`]) |
 //! | R002 | robustness  | no direct `fs::write`/`File::create` — artifacts go through `ckpt::atomic_write` |
 //! | M001 | observability | metric/span names ⇆ DESIGN §9 catalog, both directions |
 //!
@@ -32,6 +32,19 @@ const NON_PIPELINE_CRATES: &[&str] = &["bench"];
 /// Crates allowed to read wall clocks (D003): the observability crate and
 /// the bench harness — timing is their purpose.
 const TIMING_CRATES: &[&str] = &["obs", "bench"];
+
+/// The code that decodes on-disk bytes: the observability crate (ledger,
+/// trace and record readers) and the stage cache. R001 is a hard zero
+/// here — no baseline entry, no waiver — because a panic on a corrupt file
+/// is exactly what these readers must return as an error instead. Each
+/// entry is a path prefix.
+pub const BYTE_READERS: &[&str] = &["crates/obs/src/", "crates/core/src/stagecache.rs"];
+
+/// Whether `relpath` lies under one of the [`BYTE_READERS`].
+#[must_use]
+pub fn reads_bytes(relpath: &str) -> bool {
+    BYTE_READERS.iter().any(|p| relpath.starts_with(p))
+}
 
 /// Files allowed to read wall clocks and spawn threads: the shared
 /// work-stealing pool and its historical home in the DoE runner.

@@ -14,7 +14,8 @@
 //! (`W002`) so stale waivers cannot accumulate.
 
 use crate::lexer::{Comment, Tok};
-use crate::report::{Finding, CODE_MALFORMED_WAIVER, CODE_UNUSED_WAIVER};
+use crate::report::{Finding, CODE_BYTE_READER_WAIVER, CODE_MALFORMED_WAIVER, CODE_UNUSED_WAIVER};
+use crate::rules::reads_bytes;
 
 /// The comment marker that introduces a waiver tag.
 pub const MARKER: &str = "ffet-analyze:";
@@ -71,6 +72,23 @@ pub fn collect(path: &str, comments: &[Comment], toks: &[Tok]) -> (Vec<Waiver>, 
             )),
         }
     }
+    if reads_bytes(path) {
+        // R001 is a hard zero where on-disk bytes are decoded: the tag is
+        // reported and waives nothing.
+        for w in &mut waivers {
+            if let Some(i) = w.codes.iter().position(|c| c == "R001") {
+                w.codes.remove(i);
+                findings.push(Finding::new(
+                    path,
+                    w.line,
+                    CODE_BYTE_READER_WAIVER,
+                    "`allow(R001)` in a file that reads on-disk bytes: return an error instead"
+                        .to_owned(),
+                ));
+            }
+        }
+        waivers.retain(|w| !w.codes.is_empty());
+    }
     (waivers, findings)
 }
 
@@ -115,9 +133,9 @@ fn parse_tag(body: &str) -> Result<Vec<String>, String> {
 pub fn apply(path: &str, waivers: &mut [Waiver], findings: &mut Vec<Finding>) -> usize {
     let before = findings.len();
     findings.retain(|f| {
-        // W001/W002 are never waivable — the waiver machinery must not be
+        // W-codes are never waivable — the waiver machinery must not be
         // able to silence its own integrity checks.
-        if f.code == CODE_MALFORMED_WAIVER || f.code == CODE_UNUSED_WAIVER {
+        if f.code.starts_with('W') {
             return true;
         }
         let covered = waivers

@@ -102,3 +102,108 @@ fn f() {
     assert!(!ws.analysis.is_clean());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A synthetic workspace holding `files` (workspace-relative path, text)
+/// and an empty metric catalog, under a temp directory named by `tag`.
+fn synthetic_tree(tag: &str, files: &[(&str, &str)]) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ffet-analyze-{tag}-{}", std::process::id()));
+    for (rel, text) in files {
+        let path = dir.join(rel);
+        std::fs::create_dir_all(path.parent().expect("file has a parent")).expect("temp tree");
+        std::fs::write(path, text).expect("write fixture");
+    }
+    std::fs::write(dir.join("DESIGN.md"), "# doc\n\n```metrics\n```\n").expect("write DESIGN.md");
+    dir
+}
+
+const PANICS: &str = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n";
+
+#[test]
+fn r001_in_a_byte_reader_fails_the_gate_even_when_blessed() {
+    let dir = synthetic_tree(
+        "byte-reader-r001",
+        &[
+            ("crates/obs/src/json.rs", PANICS),
+            ("crates/core/src/stagecache.rs", PANICS),
+            ("crates/core/src/flow.rs", PANICS),
+        ],
+    );
+    let ws = analyze_workspace(&dir, &Baseline::default()).expect("synthetic tree analyzes");
+    let blocked: Vec<String> = match ws.bless() {
+        Ok(text) => panic!("blessed a byte reader's R001:\n{text}"),
+        Err(blocked) => blocked.iter().map(|f| f.file.clone()).collect(),
+    };
+    assert_eq!(
+        blocked,
+        ["crates/core/src/stagecache.rs", "crates/obs/src/json.rs"],
+        "only the byte readers block the bless"
+    );
+    assert_eq!(
+        ws.r001_counts.keys().collect::<Vec<_>>(),
+        ["crates/core/src/flow.rs"],
+        "only other files are baseline debt"
+    );
+
+    // A baseline that allows one finding per file still fails the gate on
+    // the byte readers, and only on them.
+    let baseline = Baseline::parse(&Baseline::render(&ws.r001_counts)).expect("parses");
+    let ws = analyze_workspace(&dir, &baseline).expect("synthetic tree analyzes");
+    let failing: Vec<&str> = ws
+        .analysis
+        .findings
+        .iter()
+        .map(|f| f.file.as_str())
+        .collect();
+    assert_eq!(failing, blocked);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn baseline_entry_for_a_byte_reader_is_a_finding() {
+    let dir = synthetic_tree(
+        "byte-reader-baseline",
+        &[("crates/obs/src/ledger.rs", PANICS)],
+    );
+    let baseline = Baseline::parse("R001 1 crates/obs/src/ledger.rs\n").expect("parses");
+    let ws = analyze_workspace(&dir, &baseline).expect("synthetic tree analyzes");
+    let codes: Vec<(&str, &str)> = (ws.analysis.findings.iter())
+        .map(|f| (f.file.as_str(), f.code.as_str()))
+        .collect();
+    assert_eq!(
+        codes,
+        [
+            (BASELINE_PATH, "B002"),
+            ("crates/obs/src/ledger.rs", "R001")
+        ],
+        "the entry is reported and allows nothing"
+    );
+    assert_eq!(ws.analysis.baselined, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn r001_waiver_in_a_byte_reader_is_a_finding() {
+    let waived = "fn f(x: Option<u8>) -> u8 {\n    \
+                  x.unwrap() // ffet-analyze: allow(R001) -- the caller checked\n}\n";
+    let dir = synthetic_tree(
+        "byte-reader-waiver",
+        &[
+            ("crates/core/src/stagecache.rs", waived),
+            ("crates/core/src/flow.rs", waived),
+        ],
+    );
+    let ws = analyze_workspace(&dir, &Baseline::default()).expect("synthetic tree analyzes");
+    let codes: Vec<(&str, u32, &str)> = (ws.analysis.findings.iter())
+        .map(|f| (f.file.as_str(), f.line, f.code.as_str()))
+        .collect();
+    assert_eq!(
+        codes,
+        [
+            ("crates/core/src/stagecache.rs", 2, "R001"),
+            ("crates/core/src/stagecache.rs", 2, "W003"),
+        ],
+        "the tag is reported and waives nothing; elsewhere it still waives"
+    );
+    assert_eq!(ws.analysis.waived, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -80,17 +80,18 @@ pub fn merge_defs(front: &Def, back: &Def) -> Result<Def, MergeError> {
         .special_nets
         .extend(back.special_nets.iter().cloned());
 
-    // Merge nets by name: connections deduplicated, routing concatenated.
-    let mut by_name: FxHashMap<String, DefNet> = FxHashMap::default();
-    let mut order: Vec<String> = Vec::new();
+    // Merge nets by name, in first-seen order: connections deduplicated,
+    // routing concatenated.
+    let mut index: FxHashMap<&str, usize> = FxHashMap::default();
     for net in front.nets.iter().chain(&back.nets) {
-        let entry = by_name.entry(net.name.clone()).or_insert_with(|| {
-            order.push(net.name.clone());
-            DefNet {
+        let i = *index.entry(&net.name).or_insert_with(|| {
+            merged.nets.push(DefNet {
                 name: net.name.clone(),
                 ..DefNet::default()
-            }
+            });
+            merged.nets.len() - 1
         });
+        let entry = &mut merged.nets[i];
         for conn in &net.connections {
             if !entry.connections.contains(conn) {
                 entry.connections.push(conn.clone());
@@ -99,10 +100,6 @@ pub fn merge_defs(front: &Def, back: &Def) -> Result<Def, MergeError> {
         entry.wires.extend(net.wires.iter().copied());
         entry.vias.extend(net.vias.iter().copied());
     }
-    merged.nets = order
-        .into_iter()
-        .map(|name| by_name.remove(&name).expect("net recorded in order"))
-        .collect();
     Ok(merged)
 }
 

@@ -4,8 +4,10 @@ use std::fmt::Write as _;
 /// Serializes a [`Def`] to DEF-style text.
 ///
 /// The emitted subset follows the DEF 5.8 look and feel (sections, `- name`
-/// records, `;` terminators) closely enough to be familiar, while staying
-/// exactly inverse to [`crate::parse_def`].
+/// records, `;` terminators) closely enough to be familiar. No program reads
+/// it back: the flow hands DEFs on in memory, and the bytes this writes for
+/// one counter flow are pinned by the end-to-end test
+/// `interchange_writer_bytes_are_pinned`.
 #[must_use]
 pub fn write_def(def: &Def) -> String {
     let mut s = String::new();

@@ -21,7 +21,6 @@ mod netlist;
 mod sim;
 mod stats;
 mod verilog;
-mod verilog_parser;
 
 pub use builder::NetlistBuilder;
 pub use ids::{InstId, NetId, PinRef, PortId};
@@ -30,7 +29,6 @@ pub use netlist::{Instance, Net, Netlist, Port, PortDirection};
 pub use sim::Simulator;
 pub use stats::{stats, NetlistStats};
 pub use verilog::to_verilog;
-pub use verilog_parser::{from_verilog, ParseVerilogError};
 
 #[cfg(test)]
 mod tests {

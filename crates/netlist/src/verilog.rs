@@ -8,6 +8,8 @@ use std::fmt::Write as _;
 /// connections, suitable for inspection or for feeding other tools. Bus
 /// ports are emitted bit-blasted (`a[3]` becomes the escaped identifier
 /// `\a[3] `), which keeps the writer exact without inferring bus ranges.
+/// Nothing reads it back; its bytes for the RV32 core are pinned by the
+/// end-to-end test `interchange_writer_bytes_are_pinned`.
 #[must_use]
 pub fn to_verilog(netlist: &Netlist, library: &Library) -> String {
     let mut out = String::new();

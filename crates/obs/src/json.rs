@@ -135,11 +135,19 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse a complete JSON document. Trailing non-whitespace is an error.
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. The
+/// deepest artifact the repo writes, `metrics.json`, nests 6 levels; trace,
+/// ledger and Chrome-trace lines nest 4 or fewer. The parser recurses once
+/// per level, so without this bound a line of nested brackets would
+/// overflow the stack instead of returning an error.
+const MAX_DEPTH: usize = 64;
+
+/// Parse a complete JSON document. Trailing non-whitespace, and arrays and
+/// objects nested more than 64 levels deep, are errors.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -153,12 +161,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value nested inside `depth` open arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => parse_str(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -261,7 +274,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -280,7 +293,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -294,7 +307,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -303,7 +316,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -354,6 +367,21 @@ mod tests {
     #[test]
     fn unicode_escape_parses() {
         assert_eq!(parse_json(r#""é""#).unwrap(), Json::Str("\u{e9}".into()));
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_with_its_offset() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&deepest).is_ok(), "{MAX_DEPTH} levels parse");
+        let over = format!("{{\"a\":{deepest}}}");
+        let err = format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            MAX_DEPTH + 4
+        );
+        assert_eq!(parse_json(&over), Err(err));
+        // Deep enough to overflow the stack of an unbounded recursive parser.
+        let err = format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}");
+        assert_eq!(parse_json(&"[".repeat(200_000)), Err(err));
     }
 
     #[test]

@@ -475,6 +475,25 @@ mod tests {
     }
 
     #[test]
+    fn load_skips_a_sealed_line_nested_past_the_parser_bound() {
+        let dir = scratch("nested");
+        let path = dir.join("ledger.jsonl");
+        let a = sample_entry();
+        let mut b = sample_entry();
+        b.key = "fig8".into();
+        // 200,000 nested `[` under a valid checksum: deep enough to overflow
+        // the stack of an unbounded recursive parser.
+        let mut text = a.render_line();
+        text.push_str(&record::seal(&"[".repeat(200_000)));
+        text.push_str(&b.render_line());
+        fs::write(&path, &text).expect("write");
+        let ledger = Ledger::load(&path).expect("load");
+        assert_eq!(ledger.entries, vec![a, b]);
+        assert_eq!(ledger.corrupt, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn missing_ledger_loads_empty() {
         let dir = scratch("missing");
         let ledger = Ledger::load(&dir.join("nope.jsonl")).expect("load");

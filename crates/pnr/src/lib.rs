@@ -291,8 +291,9 @@ pub fn run_pnr(
 /// Seeds the congestion grid with pin-access demand: every connected pin
 /// consumes local routing resource on each side it is accessible from
 /// (dual-sided output pins load both sides — but only sides that have
-/// routing layers at all).
-fn add_pin_demand(
+/// routing layers at all). Signoff's capacity check seeds its independent
+/// grid with this same call, so it sees the grid the router saw.
+pub fn add_pin_demand(
     netlist: &Netlist,
     library: &Library,
     placement: &Placement,

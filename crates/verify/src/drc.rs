@@ -2,14 +2,14 @@
 //! result, recomputed from the artifacts alone (no router state).
 
 use crate::{Severity, Violation};
-use ffet_cells::{Library, PinSides};
+use ffet_cells::Library;
 use ffet_geom::{Axis, Point, Rect};
 use ffet_geom::{FxHashMap, FxHashSet};
 use ffet_lefdef::{DefVia, DefWire};
-use ffet_netlist::{InstId, Netlist, PinRef};
+use ffet_netlist::Netlist;
 use ffet_pnr::{
-    calib, check_legality, decompose_nets, pin_position, pin_sides, GCell, LegalityViolation,
-    PnrResult, RoutingGrid, SideNet,
+    add_pin_demand, calib, check_legality, decompose_nets, GCell, LegalityViolation, PnrResult,
+    RoutingGrid, SideNet,
 };
 use ffet_tech::{RoutingPattern, Side, Technology};
 
@@ -111,7 +111,7 @@ pub fn check_routing(
     // Independent congestion model for the capacity (short) check,
     // seeded exactly as the router's grid was.
     let mut demand = RoutingGrid::new(tech, die, pattern);
-    seed_pin_demand(netlist, library, pnr, &mut demand, pattern);
+    add_pin_demand(netlist, library, &pnr.placement, &mut demand, pattern);
 
     for routed in &pnr.routing.nets {
         let name = &netlist.net(routed.net).name;
@@ -340,54 +340,6 @@ fn check_via(
                     rules.max_index
                 ),
             });
-        }
-    }
-}
-
-/// Replicates the router's pin-access and blockage seeding using the same
-/// calibration constants, so the capacity check sees the grid the router
-/// saw before committing wires.
-fn seed_pin_demand(
-    netlist: &Netlist,
-    library: &Library,
-    pnr: &PnrResult,
-    grid: &mut RoutingGrid,
-    pattern: RoutingPattern,
-) {
-    let tech = library.tech();
-    let side_has_layers = |side: Side| match side {
-        Side::Front => pattern.front_layers() > 0,
-        Side::Back => pattern.back_layers() > 0,
-    };
-    if tech.kind() == ffet_tech::TechKind::Cfet4t {
-        for (i, inst) in netlist.instances().iter().enumerate() {
-            let cell = library.cell(inst.cell);
-            let w = cell.width_cpp * tech.cpp();
-            let at = pnr.placement.center(i, w, tech.cell_height());
-            grid.add_blockage(Side::Front, at, calib::CFET_SUPERVIA_BLOCKAGE);
-        }
-    }
-    for (i, inst) in netlist.instances().iter().enumerate() {
-        for (pi, conn) in inst.conns.iter().enumerate() {
-            if conn.is_none() {
-                continue;
-            }
-            let pin = PinRef::new(InstId(i as u32), pi);
-            let pos = pin_position(netlist, library, &pnr.placement, pin);
-            match pin_sides(netlist, library, pin) {
-                PinSides::One(side) => {
-                    if side_has_layers(side) {
-                        grid.add_pin(side, pos);
-                    }
-                }
-                PinSides::Both => {
-                    for side in Side::BOTH {
-                        if side_has_layers(side) {
-                            grid.add_pin(side, pos);
-                        }
-                    }
-                }
-            }
         }
     }
 }
