@@ -184,10 +184,10 @@ fn perf_report(args: &ParsedArgs) -> i32 {
     0
 }
 
-/// Resolves `query` against the trace's point labels: an exact label or
-/// any unique substring of one.
-fn resolve_point(text: &str, query: &str) -> Result<String, String> {
-    let labels = ffet_obs::point_labels(text);
+/// Resolves `query` against the point labels of the trace read from
+/// `path`: an exact label or any unique substring of one.
+fn resolve_point(path: &str, text: &str, query: &str) -> Result<String, String> {
+    let labels = ffet_obs::point_labels(text).map_err(|e| format!("{path}: {e}"))?;
     if labels.iter().any(|l| l == query) {
         return Ok(query.to_owned());
     }
@@ -227,7 +227,7 @@ fn trace_export(args: &ParsedArgs) -> i32 {
         Ok(t) => t,
         Err(code) => return code,
     };
-    let label = match resolve_point(&text, query) {
+    let label = match resolve_point(trace_path, &text, query) {
         Ok(l) => l,
         Err(e) => {
             eprintln!("error: {e}");
@@ -279,23 +279,23 @@ fn trace_diff(args: &ParsedArgs) -> i32 {
             Err(code) => return code,
         }
     };
-    let resolve = |text: &str, q: &str| match resolve_point(text, q) {
+    let resolve = |path: &str, text: &str, q: &str| match resolve_point(path, text, q) {
         Ok(l) => Ok(l),
         Err(e) => {
             eprintln!("error: {e}");
             Err(1)
         }
     };
-    let label = match resolve(&text, query) {
+    let label = match resolve(trace_path, &text, query) {
         Ok(l) => l,
         Err(code) => return code,
     };
     let against_label = match args.flag("--against") {
-        Some(q) => match resolve(&against_text, q) {
+        Some(q) => match resolve(against_path, &against_text, q) {
             Ok(l) => l,
             Err(code) => return code,
         },
-        None => match resolve(&against_text, &label) {
+        None => match resolve(against_path, &against_text, &label) {
             Ok(l) => l,
             Err(code) => return code,
         },

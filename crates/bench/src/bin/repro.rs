@@ -192,7 +192,13 @@ fn trace_cmd(query: Option<&str>) -> i32 {
             return 1;
         }
     };
-    let labels = ffet_obs::point_labels(&text);
+    let labels = match ffet_obs::point_labels(&text) {
+        Ok(labels) => labels,
+        Err(e) => {
+            eprintln!("error: {path}: {e}");
+            return 1;
+        }
+    };
     let Some(query) = query else {
         println!("{} point(s) in {path}:", labels.len());
         for label in &labels {

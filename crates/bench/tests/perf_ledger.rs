@@ -152,7 +152,7 @@ fn trace_export_validates_and_diff_is_clean_across_runs() {
 
     let trace_text =
         std::fs::read_to_string(dir.join("results/trace.jsonl")).expect("read trace.jsonl");
-    let labels = ffet_obs::point_labels(&trace_text);
+    let labels = ffet_obs::point_labels(&trace_text).expect("trace parses");
     let label = labels.first().expect("fig11 produced at least one point");
 
     // Export resolves the label, self-validates, and the bytes it prints

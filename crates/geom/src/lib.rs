@@ -91,30 +91,6 @@ impl std::fmt::Display for Orientation {
     }
 }
 
-impl std::str::FromStr for Orientation {
-    type Err = ParseOrientationError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "N" => Ok(Orientation::North),
-            "FS" => Ok(Orientation::FlippedSouth),
-            _ => Err(ParseOrientationError(s.to_owned())),
-        }
-    }
-}
-
-/// Error returned when parsing an unknown orientation keyword.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseOrientationError(String);
-
-impl std::fmt::Display for ParseOrientationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown orientation keyword `{}`", self.0)
-    }
-}
-
-impl std::error::Error for ParseOrientationError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,19 +100,5 @@ mod tests {
         for axis in [Axis::Horizontal, Axis::Vertical] {
             assert_eq!(axis.perpendicular().perpendicular(), axis);
         }
-    }
-
-    #[test]
-    fn orientation_roundtrip() {
-        for o in [Orientation::North, Orientation::FlippedSouth] {
-            let parsed: Orientation = o.to_string().parse().expect("roundtrip");
-            assert_eq!(parsed, o);
-        }
-    }
-
-    #[test]
-    fn orientation_parse_rejects_unknown() {
-        let err = "FN".parse::<Orientation>().unwrap_err();
-        assert!(err.to_string().contains("FN"));
     }
 }

@@ -106,8 +106,8 @@ fn diff_metrics(a: &MetricsSnapshot, b: &MetricsSnapshot, out: &mut Vec<String>)
 /// Returns `Err` only when a trace fails to parse; differences (including
 /// label-set mismatches) come back as `Ok(non-empty)`.
 pub fn diff_traces(a_text: &str, b_text: &str) -> Result<Vec<String>, String> {
-    let a_labels = point_labels(a_text);
-    let b_labels = point_labels(b_text);
+    let a_labels = point_labels(a_text)?;
+    let b_labels = point_labels(b_text)?;
     let mut out = Vec::new();
     if a_labels != b_labels {
         out.push(format!(

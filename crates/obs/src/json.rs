@@ -165,7 +165,7 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
+        None => Err(format!("unexpected end of input at byte {}", *pos)),
         Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
             "nesting deeper than {MAX_DEPTH} levels at byte {}",
             *pos
@@ -212,11 +212,11 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     if is_float {
         text.parse::<f64>()
             .map(Json::Num)
-            .map_err(|e| format!("bad float {text:?}: {e}"))
+            .map_err(|e| format!("bad float {text:?} at byte {start}: {e}"))
     } else {
         text.parse::<i64>()
             .map(Json::Int)
-            .map_err(|e| format!("bad integer {text:?}: {e}"))
+            .map_err(|e| format!("bad integer {text:?} at byte {start}: {e}"))
     }
 }
 
@@ -226,7 +226,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     let mut out = String::new();
     loop {
         match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
+            None => return Err(format!("unterminated string at byte {}", *pos)),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -243,11 +243,12 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                        let bad = || format!("bad \\u escape at byte {}", *pos);
+                        let hex = bytes.get(*pos + 1..*pos + 5).ok_or_else(bad)?;
+                        let code = std::str::from_utf8(hex)
+                            .ok()
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .ok_or_else(bad)?;
                         // Artifacts never emit surrogate pairs; map lone
                         // surrogates to the replacement character.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -367,6 +368,23 @@ mod tests {
     #[test]
     fn unicode_escape_parses() {
         assert_eq!(parse_json(r#""é""#).unwrap(), Json::Str("\u{e9}".into()));
+    }
+
+    #[test]
+    fn every_parse_error_carries_its_byte_offset() {
+        for (text, err) in [
+            ("[1,", "unexpected end of input at byte 3"),
+            (r#"{"a":"b"#, "unterminated string at byte 7"),
+            (r#"["\u12"]"#, "bad \\u escape at byte 3"),
+            (r#"["\uzzzz"]"#, "bad \\u escape at byte 3"),
+        ] {
+            assert_eq!(parse_json(text), Err(err.to_owned()), "{text}");
+        }
+        let err = parse_json("[1, 99999999999999999999]").unwrap_err();
+        assert!(
+            err.starts_with("bad integer \"99999999999999999999\" at byte 4: "),
+            "{err}"
+        );
     }
 
     #[test]

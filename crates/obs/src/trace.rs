@@ -364,21 +364,22 @@ fn require_u32(obj: &Json, key: &str, line_no: usize) -> Result<u32, String> {
         .ok_or_else(|| format!("line {line_no}: missing non-negative integer {key:?}"))
 }
 
-/// All point labels present in a `trace.jsonl` body, in file order.
-pub fn point_labels(text: &str) -> Vec<String> {
+/// All point labels present in a `trace.jsonl` body, in file order. A line
+/// that does not parse is an error that names it, as in [`parse_point`].
+pub fn point_labels(text: &str) -> Result<Vec<String>, String> {
     let mut labels: Vec<String> = Vec::new();
-    for line in text.lines() {
+    for (idx, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let Ok(obj) = parse_json(line) else { continue };
+        let obj = parse_json(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
         if let Some(label) = obj.get("point").and_then(Json::as_str) {
             if labels.last().map(String::as_str) != Some(label) {
                 labels.push(label.to_string());
             }
         }
     }
-    labels
+    Ok(labels)
 }
 
 /// Reconstruct one point's [`PointData`] from a `trace.jsonl` body.
@@ -511,7 +512,26 @@ mod tests {
         assert_eq!(stats.points, 2);
         assert_eq!(stats.span_lines, 4);
         assert_eq!(stats.metrics_lines, 2);
-        assert_eq!(point_labels(&trace), vec!["exp/a", "exp/b"]);
+        assert_eq!(point_labels(&trace).unwrap(), vec!["exp/a", "exp/b"]);
+    }
+
+    #[test]
+    fn point_labels_names_a_corrupt_line() {
+        let trace = sample_artifacts().trace_jsonl();
+        let first = |label: &str| {
+            trace
+                .lines()
+                .find(|l| l.contains(&format!("\"point\":\"{label}\"")))
+                .unwrap()
+                .to_owned()
+        };
+        let (a, b) = (first("exp/a"), first("exp/b"));
+        let text = format!("{a}\n{}\n", &b[..b.len() / 2]);
+        let err = point_labels(&text).unwrap_err();
+        assert!(
+            err.starts_with("line 2: ") && err.contains(" at byte "),
+            "{err}"
+        );
     }
 
     #[test]

@@ -213,12 +213,26 @@ fn connectivity_order(netlist: &Netlist, rng: &mut Rng64) -> Vec<usize> {
 /// Buffers of [`spread`], reused across the outer iterations of `place`.
 #[derive(Debug, Default)]
 struct SpreadScratch {
-    idx: Vec<usize>,
-    row_members: Vec<Vec<usize>>,
+    /// Sort keys `(y, x, cell)` of every cell.
+    keys: Vec<(i64, i64, u32)>,
+    /// Per row, its cells' sort keys `(x, y, cell)`.
+    row_members: Vec<Vec<(i64, i64, u32)>>,
+}
+
+/// `v` as an integer that orders like [`f64::total_cmp`], by the same bit
+/// trick: negative values have their magnitude bits flipped.
+fn total_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Density projection: bins cells into rows by y order, then spreads each
 /// row's cells along x in sorted order proportionally to capacity.
+///
+/// Cells are ordered by `(y, x, index)` and then, per row, by
+/// `(x, y, index)`: the orders of stable `total_cmp` sorts by `(y, x)`
+/// from index order and then by `x`. The keys are unique, so an unstable
+/// sort finds that order.
 fn spread(
     floorplan: &Floorplan,
     widths: &[i64],
@@ -229,11 +243,10 @@ fn spread(
     scratch: &mut SpreadScratch,
 ) {
     let n_rows = floorplan.rows.len().max(1);
-    let n = x.len();
-    let SpreadScratch { idx, row_members } = scratch;
-    idx.clear();
-    idx.extend(0..n);
-    idx.sort_by(|&a, &b| y[a].total_cmp(&y[b]).then(x[a].total_cmp(&x[b])));
+    let SpreadScratch { keys, row_members } = scratch;
+    keys.clear();
+    keys.extend((0..x.len()).map(|i| (total_key(y[i]), total_key(x[i]), i as u32)));
+    keys.sort_unstable();
     // Allocate cells to rows with equal total width per row.
     let total_w: i64 = widths.iter().sum();
     let per_row = total_w as f64 / n_rows as f64;
@@ -243,18 +256,21 @@ fn spread(
     for members in row_members.iter_mut() {
         members.clear();
     }
-    for &i in idx.iter() {
+    for &(ky, kx, i) in keys.iter() {
         if acc > per_row && row + 1 < n_rows {
             row += 1;
             acc = 0.0;
         }
-        acc += widths[i] as f64;
-        row_members[row].push(i);
+        acc += widths[i as usize] as f64;
+        row_members[row].push((kx, ky, i));
     }
     for (r, members) in row_members.iter_mut().enumerate() {
-        members.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
+        members.sort_unstable();
         let row_sites = floorplan.rows[r].sites as f64;
-        let used: f64 = members.iter().map(|&i| widths[i] as f64).sum();
+        let used: f64 = members
+            .iter()
+            .map(|&(.., i)| widths[i as usize] as f64)
+            .sum();
         // Keep ~4% of the row free: Power Tap Cells occupy ~3% of the
         // sites and the legalizer needs slack to pack around them.
         let usable = row_sites * 0.96;
@@ -267,7 +283,8 @@ fn spread(
         // Center the packed row.
         let span = used * scale;
         let offset = ((row_sites - span) / 2.0).max(0.0);
-        for &i in members.iter() {
+        for &(.., i) in members.iter() {
+            let i = i as usize;
             let w = widths[i] as f64 * scale;
             x[i] = floorplan.rows[r].x as f64 + (offset + cursor + w / 2.0) * cpp;
             y[i] = floorplan.rows[r].y as f64 + 0.5 * row_h as f64;
@@ -502,6 +519,38 @@ mod tests {
         let fp = floorplan(&nl, &lib, util, 1.0).unwrap();
         let pp = powerplan(&fp, &lib, RoutingPattern::new(12, 12).unwrap());
         (lib, nl, fp, pp)
+    }
+
+    #[test]
+    fn total_key_orders_like_total_cmp() {
+        let values = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -f64::MAX,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1e-310,
+            -1e-310,
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            135.0,
+            135.0,
+            -2.5e9,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_key(a).cmp(&total_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use ffet_geom::{Axis, Point};
 use ffet_netlist::Netlist;
+use std::cmp::Ordering::{Greater, Less};
 
 /// One pin of a QP net: a movable cell or a fixed location (port).
 #[derive(Debug, Clone, Copy)]
@@ -24,6 +25,9 @@ pub enum QpPin {
 #[derive(Debug, Clone, Default)]
 pub struct QpNets {
     nets: Vec<Vec<QpPin>>,
+    /// Per net: three or more pins, each a distinct movable cell. Such a
+    /// net is assembled as a [`Star`] whenever its extreme pins differ.
+    star_shaped: Vec<bool>,
 }
 
 impl QpNets {
@@ -58,7 +62,26 @@ impl QpNets {
                 nets.push(pins);
             }
         }
-        QpNets { nets }
+        QpNets::new(nets)
+    }
+
+    fn new(nets: Vec<Vec<QpPin>>) -> QpNets {
+        let mut cells = Vec::new();
+        let star_shaped = nets
+            .iter()
+            .map(|pins| {
+                cells.clear();
+                cells.extend(pins.iter().map_while(|p| match p {
+                    QpPin::Cell(i) => Some(*i),
+                    QpPin::Fixed(_) => None,
+                }));
+                cells.sort_unstable();
+                cells.len() == pins.len()
+                    && pins.len() >= 3
+                    && cells.windows(2).all(|w| w[0] != w[1])
+            })
+            .collect();
+        QpNets { nets, star_shaped }
     }
 
     /// Number of QP nets.
@@ -89,26 +112,36 @@ pub enum CgExit {
     Capped,
 }
 
-/// Reusable B2B quadratic-program solver for both placement axes.
+/// Reusable B2B quadratic-program solver for both placement axes: one
+/// axis' system `A·x = rhs` and its CG vectors at a time.
 ///
-/// Every buffer lives across the solves of one `place` call, so a
-/// warmed-up solver assembles and solves without allocating. Results are
-/// bit-identical to assembling an adjacency-list system per axis and
-/// running one Jacobi-CG loop after the other (DESIGN §15): every row
-/// keeps its insertion order and one accumulator chain, every reduction
-/// is the same sequential fold, and the two axes' systems share no data,
-/// so interleaving their passes reorders nothing within either.
+/// The buffers serve both axes and live across the solves of one `place`
+/// call, so a warmed-up solver assembles and solves without allocating.
+/// Results are bit-identical to assembling an adjacency-list system per
+/// axis and solving it (DESIGN §15): every row keeps its insertion order
+/// and one accumulator chain, and every reduction is the same sequential
+/// fold.
 #[derive(Debug, Default)]
 pub struct QpSolver {
-    axes: [AxisSystem; 2],
+    diag: Vec<f64>,
+    rhs: Vec<f64>,
+    /// The off-diagonal entries of `A`.
+    program: Program,
+    /// Assembly scratch: the current net's pin coordinates.
+    pin_at: Vec<f64>,
+    minv: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    ap: Vec<f64>,
 }
 
 impl QpSolver {
-    /// One outer iteration's solves: assembles each axis' B2B system from
-    /// the current coordinates, plus per-cell anchors of weight
-    /// `anchor_w` (`fixed_mask` cells are pinned where they are instead),
-    /// and runs both CG loops in lockstep, warm-started from and updating
-    /// `x` and `y`. Each axis keeps its own exits and iteration cap.
+    /// One outer iteration's solves: assembles the x and then the y B2B
+    /// system from the current coordinates, plus per-cell anchors of
+    /// weight `anchor_w` (`fixed_mask` cells are pinned where they are
+    /// instead), and solves each by CG, warm-started from and updating `x`
+    /// and `y`. An axis' system reads only that axis' coordinates, so
+    /// solving x first changes nothing in y's.
     #[allow(clippy::too_many_arguments)]
     pub fn solve(
         &mut self,
@@ -120,58 +153,16 @@ impl QpSolver {
         anchor_w: f64,
         fixed_mask: &[bool],
     ) -> [CgExit; 2] {
-        let [sx, sy] = &mut self.axes;
-        sx.assemble(nets, Axis::Horizontal, x, anchor_x, anchor_w, fixed_mask);
-        sy.assemble(nets, Axis::Vertical, y, anchor_y, anchor_w, fixed_mask);
-        let mut lanes = [Lane::start(sx, x), Lane::start(sy, y)];
-        for it in 0..CG_ITERATIONS {
-            for lane in &mut lanes {
-                if lane.exit.is_none() && lane.rz.abs() < 1e-9 {
-                    lane.exit = Some(CgExit::Converged(it));
-                }
-            }
-            if lanes.iter().all(|l| l.exit.is_some()) {
-                break;
-            }
-            for lane in lanes.iter_mut().filter(|l| l.exit.is_none()) {
-                lane.matrix.matvec(lane.diag, lane.p, lane.ap);
-            }
-            fused(&mut lanes, dot_p_ap::<2>, dot_p_ap::<1>);
-            for lane in &mut lanes {
-                if lane.exit.is_none() && lane.pap.abs() < 1e-12 {
-                    lane.exit = Some(CgExit::Degenerate(it));
-                }
-            }
-            fused(&mut lanes, advance::<2>, advance::<1>);
-            for lane in lanes.iter_mut().filter(|l| l.exit.is_none()) {
-                for (p, z) in lane.p.iter_mut().zip(&*lane.z) {
-                    *p = z + lane.beta * *p;
-                }
-            }
-        }
-        lanes.map(|l| l.exit.unwrap_or(CgExit::Capped))
+        [
+            (Axis::Horizontal, x, anchor_x),
+            (Axis::Vertical, y, anchor_y),
+        ]
+        .map(|(axis, coords, anchors)| {
+            self.assemble(nets, axis, coords, anchors, anchor_w, fixed_mask);
+            self.cg(coords)
+        })
     }
-}
 
-/// One axis' system `A·x = rhs` and its CG vectors.
-#[derive(Debug, Default)]
-struct AxisSystem {
-    diag: Vec<f64>,
-    rhs: Vec<f64>,
-    /// B2B edges `(a, b, w)` in assembly order: entries `-w` at `(a, b)`
-    /// and `(b, a)`.
-    edges: Vec<(u32, u32, f64)>,
-    /// Assembly scratch: the current net's pin coordinates.
-    pin_at: Vec<f64>,
-    matrix: GroupedCsr,
-    minv: Vec<f64>,
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-}
-
-impl AxisSystem {
     /// B2B weights derived from `coords` along `axis`, plus per-cell
     /// anchors. `diag` and `rhs` accumulate in net, pin-pair order, then
     /// the anchors in cell order.
@@ -185,38 +176,28 @@ impl AxisSystem {
         fixed_mask: &[bool],
     ) {
         let n = coords.len();
-        let AxisSystem {
+        let QpSolver {
             diag,
             rhs,
-            edges,
+            program,
             pin_at,
-            matrix,
             ..
         } = self;
         diag.clear();
         diag.resize(n, 0.0);
         rhs.clear();
         rhs.resize(n, 0.0);
-        edges.clear();
-        for pins in &nets.nets {
+        program.clear();
+        for (net, pins) in nets.nets.iter().enumerate() {
             pin_at.clear();
             pin_at.extend(pins.iter().map(|p| match (p, axis) {
                 (QpPin::Cell(i), _) => coords[*i as usize],
                 (QpPin::Fixed(pt), Axis::Horizontal) => pt.x as f64,
                 (QpPin::Fixed(pt), Axis::Vertical) => pt.y as f64,
             }));
-            // Locate extreme pins under the current coordinates.
-            let (mut lo, mut hi) = (0usize, 0usize);
-            for (k, &at) in pin_at.iter().enumerate() {
-                if at < pin_at[lo] {
-                    lo = k;
-                }
-                if at > pin_at[hi] {
-                    hi = k;
-                }
-            }
             let k = pins.len();
             let base = 2.0 / (k as f64 - 1.0);
+            let shape = Shape::of(nets, net, pin_at);
             let mut connect = |a: usize, b: usize| {
                 if a == b {
                     return;
@@ -228,7 +209,7 @@ impl AxisSystem {
                         if i != j {
                             diag[i as usize] += w;
                             diag[j as usize] += w;
-                            edges.push((i, j, w));
+                            program.edges.push((i, j, w));
                         }
                     }
                     (QpPin::Cell(i), QpPin::Fixed(_)) => {
@@ -242,10 +223,23 @@ impl AxisSystem {
                     (QpPin::Fixed(_), QpPin::Fixed(_)) => {}
                 }
             };
-            for m in 0..k {
-                connect(lo, m);
-                if m != lo {
-                    connect(hi, m);
+            match shape {
+                Shape::Star { lo, hi } => program.push_star(pins, pin_at, lo, hi, base, diag),
+                // The general loop connects two pins once, or twice when
+                // neither lies below the other (its lo == hi, NaN included).
+                Shape::TwoPin => {
+                    connect(0, 1);
+                    if !matches!(pin_at[0].partial_cmp(&pin_at[1]), Some(Less | Greater)) {
+                        connect(0, 1);
+                    }
+                }
+                Shape::Plain { lo, hi } => {
+                    for m in 0..k {
+                        connect(lo, m);
+                        if m != lo {
+                            connect(hi, m);
+                        }
+                    }
                 }
             }
         }
@@ -258,274 +252,270 @@ impl AxisSystem {
             diag[i] += w;
             rhs[i] += w * pos;
         }
-        matrix.build(n, edges);
-    }
-}
-
-/// The off-diagonal half-edges of a symmetric system in CSR form, with
-/// rows grouped by entry count so that equal-length rows can be walked
-/// four at a time (90% of RV32 rows have 2–9 entries).
-#[derive(Debug, Default)]
-struct GroupedCsr {
-    /// Row indices ordered by entry count, ascending within a count.
-    rows: Vec<u32>,
-    /// Runs of equal-length rows: (entries per row, end of the run in
-    /// `rows`).
-    groups: Vec<(usize, usize)>,
-    /// Column and weight of each half-edge, row after row in `rows`
-    /// order, each row's entries in insertion order. Weight `w` is the
-    /// matrix entry `-w`.
-    cols: Vec<u32>,
-    vals: Vec<f64>,
-    /// Build scratch: entries per row, then each row's next free slot.
-    slot: Vec<usize>,
-    /// Build scratch: rows per entry count, then each count's next row.
-    bucket: Vec<usize>,
-}
-
-impl GroupedCsr {
-    /// Stably buckets the half-edges of `edges` (both directions of each,
-    /// in edge order) into rows grouped by length.
-    fn build(&mut self, n: usize, edges: &[(u32, u32, f64)]) {
-        let GroupedCsr {
-            rows,
-            groups,
-            cols,
-            vals,
-            slot,
-            bucket,
-        } = self;
-        slot.clear();
-        slot.resize(n, 0);
-        for &(a, b, _) in edges {
-            slot[a as usize] += 1;
-            slot[b as usize] += 1;
-        }
-        // Counting sort of the rows by length, stable in row index.
-        bucket.clear();
-        bucket.resize(slot.iter().copied().max().unwrap_or(0) + 1, 0);
-        for &len in slot.iter() {
-            bucket[len] += 1;
-        }
-        groups.clear();
-        let mut end = 0;
-        for (len, count) in bucket.iter_mut().enumerate() {
-            let first = end;
-            end += *count;
-            if end > first {
-                groups.push((len, end));
-            }
-            *count = first;
-        }
-        rows.clear();
-        rows.resize(n, 0);
-        for (r, &len) in slot.iter().enumerate() {
-            rows[bucket[len]] = r as u32;
-            bucket[len] += 1;
-        }
-        let mut next = 0;
-        for &r in rows.iter() {
-            let len = slot[r as usize];
-            slot[r as usize] = next;
-            next += len;
-        }
-        cols.clear();
-        cols.resize(next, 0);
-        vals.clear();
-        vals.resize(next, 0.0);
-        for &(a, b, w) in edges {
-            for (row, col) in [(a, b), (b, a)] {
-                let at = &mut slot[row as usize];
-                cols[*at] = col;
-                vals[*at] = w;
-                *at += 1;
-            }
-        }
     }
 
-    /// `out = diag∘v − W·v`. Each row is one accumulator that starts at
-    /// `diag[i]·v[i]` and subtracts its entries in insertion order; four
-    /// equal-length rows advance together so that their four dependency
-    /// chains overlap.
-    fn matvec(&self, diag: &[f64], v: &[f64], out: &mut [f64]) {
-        let (mut first, mut e) = (0, 0);
-        for &(len, end) in &self.groups {
-            let rows = &self.rows[first..end];
-            let (cols, vals) = (
-                &self.cols[e..e + rows.len() * len],
-                &self.vals[e..e + rows.len() * len],
-            );
-            (first, e) = (end, e + rows.len() * len);
-            if len == 0 {
-                for &i in rows {
-                    out[i as usize] = diag[i as usize] * v[i as usize];
-                }
-                continue;
-            }
-            let mut quads = rows.chunks_exact(4);
-            for ((quad, c), w) in (&mut quads)
-                .zip(cols.chunks_exact(4 * len))
-                .zip(vals.chunks_exact(4 * len))
-            {
-                let rows = [0, 1, 2, 3].map(|k| quad[k] as usize);
-                let (c0, c) = c.split_at(len);
-                let (c1, c) = c.split_at(len);
-                let (c2, c3) = c.split_at(len);
-                let (w0, w) = w.split_at(len);
-                let (w1, w) = w.split_at(len);
-                let (w2, w3) = w.split_at(len);
-                let [mut a0, mut a1, mut a2, mut a3] = rows.map(|i| diag[i] * v[i]);
-                for t in 0..len {
-                    a0 -= w0[t] * v[c0[t] as usize];
-                    a1 -= w1[t] * v[c1[t] as usize];
-                    a2 -= w2[t] * v[c2[t] as usize];
-                    a3 -= w3[t] * v[c3[t] as usize];
-                }
-                for (i, a) in rows.into_iter().zip([a0, a1, a2, a3]) {
-                    out[i] = a;
-                }
-            }
-            let rest = quads.remainder();
-            let tail = cols.len() - rest.len() * len;
-            for ((&i, c), w) in rest
-                .iter()
-                .zip(cols[tail..].chunks_exact(len))
-                .zip(vals[tail..].chunks_exact(len))
-            {
-                let i = i as usize;
-                let mut acc = diag[i] * v[i];
-                for (&c, &w) in c.iter().zip(w) {
-                    acc -= w * v[c as usize];
-                }
-                out[i] = acc;
-            }
-        }
-    }
-}
-
-/// One axis' CG loop during [`QpSolver::solve`]: its system, its vectors
-/// and its scalars.
-struct Lane<'a> {
-    matrix: &'a GroupedCsr,
-    diag: &'a [f64],
-    minv: &'a [f64],
-    x: &'a mut [f64],
-    r: &'a mut [f64],
-    z: &'a mut [f64],
-    p: &'a mut [f64],
-    ap: &'a mut [f64],
-    /// `r·z` of the current residual.
-    rz: f64,
-    /// `p·Ap` of the current direction.
-    pap: f64,
-    /// `β` of the next direction.
-    beta: f64,
-    exit: Option<CgExit>,
-}
-
-impl<'a> Lane<'a> {
-    /// Residual `r = rhs − A·x`, Jacobi preconditioner, `z = p = M⁻¹r`.
-    fn start(sys: &'a mut AxisSystem, x: &'a mut [f64]) -> Lane<'a> {
+    /// Jacobi-preconditioned CG on the assembled system, warm-started from
+    /// and updating `x`. `p·Ap` and `r·z` (`z = M⁻¹r`) are sequential
+    /// folds from `-0.0` in index order, as `f64: Sum` folds. `Ap` is
+    /// primed with `diag∘p` in the pass that sets `p`, for the next
+    /// [`Program::subtract`].
+    fn cg(&mut self, x: &mut [f64]) -> CgExit {
         let n = x.len();
-        let AxisSystem {
+        let QpSolver {
             diag,
             rhs,
-            matrix,
+            program,
             minv,
             r,
-            z,
             p,
             ap,
             ..
-        } = sys;
-        for v in [&mut *minv, &mut *r, &mut *z, &mut *p, &mut *ap] {
+        } = self;
+        for v in [&mut *minv, &mut *r, &mut *p, &mut *ap] {
             v.resize(n, 0.0);
         }
-        matrix.matvec(diag, x, r);
+        let (diag, rhs, minv) = (&diag[..n], &rhs[..n], &mut minv[..n]);
+        let (r, p, ap) = (&mut r[..n], &mut p[..n], &mut ap[..n]);
+        // r = rhs − A·x, p = z = M⁻¹r.
+        for i in 0..n {
+            r[i] = diag[i] * x[i];
+        }
+        program.subtract(x, r);
         let mut rz = -0.0;
         for i in 0..n {
             r[i] = rhs[i] - r[i];
             minv[i] = 1.0 / diag[i].max(1e-12);
-            z[i] = r[i] * minv[i];
-            p[i] = z[i];
-            rz += r[i] * z[i];
+            p[i] = r[i] * minv[i];
+            ap[i] = diag[i] * p[i];
+            rz += r[i] * p[i];
         }
-        Lane {
-            matrix,
-            diag,
-            minv,
-            x,
-            r,
-            z,
-            p,
-            ap,
-            rz,
-            pap: 0.0,
-            beta: 0.0,
-            exit: None,
+        for it in 0..CG_ITERATIONS {
+            if rz.abs() < 1e-9 {
+                return CgExit::Converged(it);
+            }
+            program.subtract(p, ap);
+            let mut pap = -0.0;
+            for i in 0..n {
+                pap += p[i] * ap[i];
+            }
+            if pap.abs() < 1e-12 {
+                return CgExit::Degenerate(it);
+            }
+            let alpha = rz / pap;
+            // r −= α·Ap and the new r·z, with z recomputed from r.
+            let mut rz_new = -0.0;
+            for i in 0..n {
+                let ri = r[i] - alpha * ap[i];
+                r[i] = ri;
+                rz_new += ri * (ri * minv[i]);
+            }
+            let beta = rz_new / rz;
+            rz = rz_new;
+            // x += α·p with the old direction, then p = z + β·p.
+            for i in 0..n {
+                x[i] += alpha * p[i];
+                p[i] = r[i] * minv[i] + beta * p[i];
+                ap[i] = diag[i] * p[i];
+            }
+        }
+        CgExit::Capped
+    }
+}
+
+/// How assembly records one net under the current coordinates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Two pins: one plain edge, or the same edge twice where the pins
+    /// coincide.
+    TwoPin,
+    /// A star-shaped net whose extreme pins `lo` and `hi` differ.
+    Star { lo: usize, hi: usize },
+    /// Any other net: the B2B edges of the general loop, as plain edges.
+    Plain { lo: usize, hi: usize },
+}
+
+impl Shape {
+    /// The shape of net `net` with pin coordinates `pin_at`. The extreme
+    /// pins are the first lowest and the first highest.
+    fn of(nets: &QpNets, net: usize, pin_at: &[f64]) -> Shape {
+        if pin_at.len() == 2 {
+            return Shape::TwoPin;
+        }
+        let (mut lo, mut hi) = (0usize, 0usize);
+        let (mut lo_at, mut hi_at) = (pin_at[0], pin_at[0]);
+        for (k, &at) in pin_at.iter().enumerate().skip(1) {
+            if at < lo_at {
+                (lo, lo_at) = (k, at);
+            }
+            if at > hi_at {
+                (hi, hi_at) = (k, at);
+            }
+        }
+        if nets.star_shaped[net] && lo != hi {
+            Shape::Star { lo, hi }
+        } else {
+            Shape::Plain { lo, hi }
         }
     }
 }
 
-/// Runs a fused pass over the lanes still iterating: both at once while
-/// both are live, the survivor alone once the other has exited.
-fn fused(lanes: &mut [Lane<'_>; 2], both: fn(&mut [Lane<'_>; 2]), one: fn(&mut [Lane<'_>; 1])) {
-    match (lanes[0].exit.is_none(), lanes[1].exit.is_none()) {
-        (true, true) => both(lanes),
-        (true, false) => one(std::array::from_mut(&mut lanes[0])),
-        (false, true) => one(std::array::from_mut(&mut lanes[1])),
-        (false, false) => {}
+/// The off-diagonal part of one axis' system, `−W`, as a net-ordered
+/// program for the matvec (DESIGN §15). Row `i` of `W·v` is the sum of
+/// its entries in B2B insertion order, and every net's entries follow
+/// the previous net's, so a matvec that walks the nets in order keeps
+/// each row's accumulator chain.
+#[derive(Debug, Default)]
+struct Program {
+    /// Plain B2B edges `(a, b, w)` in insertion order: entries `w` at
+    /// `(a, b)` and `(b, a)`.
+    edges: Vec<(u32, u32, f64)>,
+    /// Star-shaped nets in net order.
+    stars: Vec<Star>,
+    /// The member cells of every star, star after star.
+    members: Vec<u32>,
+    /// Per member, its weights `[w_lo, w_hi]` to its star's `lo` and `hi`
+    /// cells.
+    member_w: Vec<[f64; 2]>,
+}
+
+/// A net of three or more distinct movable cells whose extreme pins
+/// differ: the B2B model joins `lo` and `hi` and every other pin to both.
+#[derive(Debug)]
+struct Star {
+    lo: u32,
+    hi: u32,
+    /// Weight of the `lo`–`hi` edge.
+    w: f64,
+    /// `edges[..edges_before]` precede the star in net order.
+    edges_before: u32,
+    /// Its members are `members[start..end]` in pin order, where `start`
+    /// is the previous star's `end`; those before `split` precede `hi`'s
+    /// pin.
+    split: u32,
+    end: u32,
+}
+
+impl Program {
+    fn clear(&mut self) {
+        self.edges.clear();
+        self.stars.clear();
+        self.members.clear();
+        self.member_w.clear();
+    }
+
+    /// Records a star net and adds its weights to `diag` in the order of
+    /// the general B2B loop: for each pin `m` in order, the `lo`–`m`
+    /// weight, then the `hi`–`m` one (`hi` itself joins `lo` once).
+    fn push_star(
+        &mut self,
+        pins: &[QpPin],
+        pin_at: &[f64],
+        lo: usize,
+        hi: usize,
+        base: f64,
+        diag: &mut [f64],
+    ) {
+        let cell = |k: usize| match pins[k] {
+            QpPin::Cell(i) => i,
+            QpPin::Fixed(_) => unreachable!("star nets have no fixed pins"),
+        };
+        let (at_lo, at_hi) = (pin_at[lo], pin_at[hi]);
+        let (c_lo, c_hi) = (cell(lo), cell(hi));
+        let (mut d_lo, mut d_hi) = (diag[c_lo as usize], diag[c_hi as usize]);
+        let (mut w, mut split) = (0.0, self.members.len());
+        for (m, &at) in pin_at.iter().enumerate() {
+            if m == lo {
+                continue;
+            }
+            if m == hi {
+                w = base / (at_lo - at_hi).abs().max(50.0);
+                d_lo += w;
+                d_hi += w;
+                split = self.members.len();
+                continue;
+            }
+            let c = cell(m);
+            let w_lo = base / (at_lo - at).abs().max(50.0);
+            d_lo += w_lo;
+            diag[c as usize] += w_lo;
+            let w_hi = base / (at_hi - at).abs().max(50.0);
+            d_hi += w_hi;
+            diag[c as usize] += w_hi;
+            self.members.push(c);
+            self.member_w.push([w_lo, w_hi]);
+        }
+        diag[c_lo as usize] = d_lo;
+        diag[c_hi as usize] = d_hi;
+        self.stars.push(Star {
+            lo: c_lo,
+            hi: c_hi,
+            w,
+            edges_before: self.edges.len() as u32,
+            split: split as u32,
+            end: self.members.len() as u32,
+        });
+    }
+
+    /// `out −= W·v`, where `out` holds `diag∘v`: every row is one
+    /// accumulator that starts at `diag[i]·v[i]` and subtracts its entries
+    /// in insertion order, as the matvec `A·v` does. A star keeps its `lo`
+    /// and `hi` rows in registers while it updates each member's row with
+    /// its `lo` entry, then its `hi` entry.
+    fn subtract(&self, v: &[f64], out: &mut [f64]) {
+        // Equal lengths let one bounds check cover `v[c]` and `out[c]`.
+        let v = &v[..out.len()];
+        let (mut done, mut start) = (0, 0);
+        for star in &self.stars {
+            let (edges_before, split, end) = (
+                star.edges_before as usize,
+                star.split as usize,
+                star.end as usize,
+            );
+            subtract_edges(&self.edges[done..edges_before], v, out);
+            done = edges_before;
+            let (lo, hi) = (star.lo as usize, star.hi as usize);
+            let (v_lo, v_hi) = (v[lo], v[hi]);
+            let acc = [out[lo], out[hi]];
+            let run = |a: usize, b: usize| (&self.members[a..b], &self.member_w[a..b]);
+            let acc = subtract_members(run(start, split), v, v_lo, v_hi, acc, out);
+            let acc = [acc[0] - star.w * v_hi, acc[1] - star.w * v_lo];
+            let [acc_lo, acc_hi] = subtract_members(run(split, end), v, v_lo, v_hi, acc, out);
+            out[lo] = acc_lo;
+            out[hi] = acc_hi;
+            start = end;
+        }
+        subtract_edges(&self.edges[done..], v, out);
     }
 }
 
-/// `p·Ap` of each lane, each a sequential fold from `-0.0` in index order
-/// (as `f64: Sum` folds); the lanes' chains interleave in one pass.
-fn dot_p_ap<const N: usize>(lanes: &mut [Lane<'_>; N]) {
-    let n = lanes[0].x.len();
-    let p = lanes.each_ref().map(|l| &l.p[..n]);
-    let ap = lanes.each_ref().map(|l| &l.ap[..n]);
-    let mut acc = [-0.0f64; N];
-    for i in 0..n {
-        for k in 0..N {
-            acc[k] += p[k][i] * ap[k][i];
-        }
-    }
-    for (l, a) in lanes.iter_mut().zip(acc) {
-        l.pap = a;
+/// Subtracts plain edges: each from both of its rows.
+#[inline(always)]
+fn subtract_edges(edges: &[(u32, u32, f64)], v: &[f64], out: &mut [f64]) {
+    for &(a, b, w) in edges {
+        let (a, b) = (a as usize, b as usize);
+        out[a] -= w * v[b];
+        out[b] -= w * v[a];
     }
 }
 
-/// `x += α·p`, `r −= α·Ap`, `z = M⁻¹r` and the new `r·z` (a sequential
-/// fold per lane, interleaved as in [`dot_p_ap`]), then `β`.
-fn advance<const N: usize>(lanes: &mut [Lane<'_>; N]) {
-    let n = lanes[0].x.len();
-    let alpha = lanes.each_ref().map(|l| l.rz / l.pap);
-    let mut v = lanes.each_mut().map(|l| {
-        (
-            &mut l.x[..n],
-            &mut l.r[..n],
-            &mut l.z[..n],
-            &l.p[..n],
-            &l.ap[..n],
-            &l.minv[..n],
-        )
-    });
-    let mut rz = [-0.0f64; N];
-    for i in 0..n {
-        for k in 0..N {
-            let (x, r, z, p, ap, minv) = &mut v[k];
-            x[i] += alpha[k] * p[i];
-            let ri = r[i] - alpha[k] * ap[i];
-            let zi = ri * minv[i];
-            r[i] = ri;
-            z[i] = zi;
-            rz[k] += ri * zi;
-        }
+/// Subtracts a run of star members from the star's accumulators
+/// `acc = [lo row, hi row]` and from their own rows, `lo` entry first.
+#[inline(always)]
+fn subtract_members(
+    (members, member_w): (&[u32], &[[f64; 2]]),
+    v: &[f64],
+    v_lo: f64,
+    v_hi: f64,
+    mut acc: [f64; 2],
+    out: &mut [f64],
+) -> [f64; 2] {
+    for (&c, &[w_lo, w_hi]) in members.iter().zip(member_w) {
+        let c = c as usize;
+        acc = [acc[0] - w_lo * v[c], acc[1] - w_hi * v[c]];
+        let by_hub = [w_lo * v_lo, w_hi * v_hi];
+        out[c] = out[c] - by_hub[0] - by_hub[1];
     }
-    for (l, rz_new) in lanes.iter_mut().zip(rz) {
-        l.beta = rz_new / l.rz;
-        l.rz = rz_new;
-    }
+    acc
 }
 
 /// The adjacency-list system and per-axis solve that [`QpSolver`]
@@ -802,9 +792,12 @@ mod tests {
         exits
     }
 
+    /// Rows of [`row_coords`].
+    const ROWS: usize = 8;
+
     /// Seeded nets over `n` cells: mostly 2–5 pins, some up to 20 and a
-    /// few high-fanout nets (so row lengths span many groups), with
-    /// repeated cells and port pins mixed in.
+    /// few high-fanout nets, with repeated cells and port pins mixed in.
+    /// One net in ten draws its cells from one row of [`row_coords`].
     fn random_nets(rng: &mut Rng64, n: usize, count: usize) -> QpNets {
         let nets = (0..count)
             .map(|_| {
@@ -813,8 +806,13 @@ mod tests {
                     1..=4 => rng.range_usize(6, 21),
                     _ => rng.range_usize(2, 6),
                 };
+                let row = (rng.range_usize(0, 10) == 0).then(|| rng.range_usize(0, ROWS));
                 let mut pins: Vec<QpPin> = (0..k)
-                    .map(|_| QpPin::Cell(rng.range_usize(0, n) as u32))
+                    .map(|_| {
+                        let cell = rng.range_usize(0, n);
+                        let cell = row.map_or(cell, |r| (cell - cell % ROWS + r) % n);
+                        QpPin::Cell(cell as u32)
+                    })
                     .collect();
                 if rng.range_usize(0, 8) == 0 {
                     pins.push(pins[0]);
@@ -826,28 +824,69 @@ mod tests {
                 pins
             })
             .collect();
-        QpNets { nets }
+        QpNets::new(nets)
     }
 
     fn random_coords(rng: &mut Rng64, n: usize, span: i64) -> Vec<f64> {
         (0..n).map(|_| rng.range_i64(0, span) as f64).collect()
     }
 
+    /// Cell `i` on the center line of row `i % ROWS`, as place's initial
+    /// fill puts cells on row centers.
+    fn row_coords(n: usize) -> Vec<f64> {
+        (0..n).map(|i| 135.0 + 270.0 * (i % ROWS) as f64).collect()
+    }
+
+    /// How assembly records `nets` along `axis` at `coords`: stars,
+    /// two-pin nets, then the other plain nets with a port pin, with a
+    /// repeated cell, and with all of three or more pins coincident.
+    fn shape_counts(nets: &QpNets, axis: Axis, coords: &[f64]) -> [usize; 5] {
+        let mut counts = [0; 5];
+        for (net, pins) in nets.nets.iter().enumerate() {
+            let pin_at: Vec<f64> = pins
+                .iter()
+                .map(|p| match (p, axis) {
+                    (QpPin::Cell(i), _) => coords[*i as usize],
+                    (QpPin::Fixed(pt), Axis::Horizontal) => pt.x as f64,
+                    (QpPin::Fixed(pt), Axis::Vertical) => pt.y as f64,
+                })
+                .collect();
+            let mut cells: Vec<u32> = pins
+                .iter()
+                .filter_map(|p| match p {
+                    QpPin::Cell(i) => Some(*i),
+                    QpPin::Fixed(_) => None,
+                })
+                .collect();
+            cells.sort_unstable();
+            match Shape::of(nets, net, &pin_at) {
+                Shape::Star { .. } => counts[0] += 1,
+                Shape::TwoPin => counts[1] += 1,
+                Shape::Plain { lo, hi } => {
+                    counts[2] += usize::from(cells.len() < pins.len());
+                    counts[3] += usize::from(cells.windows(2).any(|w| w[0] == w[1]));
+                    counts[4] += usize::from(lo == hi);
+                }
+            }
+        }
+        counts
+    }
+
     #[test]
     fn solver_is_bit_identical_to_reference_on_random_nets() {
         let mut exits = Vec::new();
+        let mut shapes = [0; 5];
         for seed in 1..=3u64 {
             let mut rng = Rng64::new(seed);
             let n = 400;
             let nets = random_nets(&mut rng, n, 520);
             let x = random_coords(&mut rng, n, 20_000);
-            let y = random_coords(&mut rng, n, 15_000);
+            let y = row_coords(n);
             let ax = random_coords(&mut rng, n, 20_000);
             let ay = random_coords(&mut rng, n, 15_000);
             let fixed: Vec<bool> = (0..n).map(|_| rng.range_usize(0, 30) == 0).collect();
-            let mut solver = QpSolver::default();
             exits.extend(assert_matches_reference(
-                &mut solver,
+                &mut QpSolver::default(),
                 &nets,
                 (&x, &y),
                 (&ax, &ay),
@@ -855,17 +894,54 @@ mod tests {
                 &fixed,
                 12,
             ));
-            // Quads and single-row tails over many row lengths.
-            let groups = &solver.axes[0].matrix.groups;
-            assert!(groups.len() > 20 && groups.last().is_some_and(|&(len, _)| len > 30));
+            for (axis, start) in [(Axis::Horizontal, &x), (Axis::Vertical, &y)] {
+                for (total, count) in shapes.iter_mut().zip(shape_counts(&nets, axis, start)) {
+                    *total += count;
+                }
+            }
         }
-        // The lockstep loop must have run with the axes stopping at
-        // different iterations, both after real work.
+        // The first assembly records stars, two-pin nets, and plain nets
+        // of each other kind: with a port pin, with a repeated cell, and
+        // with three or more pins all coincident (on one row in y).
+        assert!(shapes.iter().all(|&c| c > 0), "{shapes:?}");
+        // Each axis keeps its own exit: some solve must have stopped its
+        // axes at different iterations, both after real work.
         assert!(
             exits.iter().any(|e| matches!(
                 e,
                 [CgExit::Converged(a), CgExit::Converged(b)] if a != b && *a > 0 && *b > 0
             )),
+            "{exits:?}"
+        );
+    }
+
+    #[test]
+    fn coincident_two_pin_nets_connect_twice_while_their_axis_iterates() {
+        // A 12-cell chain between ports at (0, 0) and (13000, 10000).
+        // Every cell starts at y = 0, so at the first assembly both pins
+        // of every net but the last coincide in y, and the B2B loop
+        // connects them twice; the far port keeps y iterating.
+        let n = 12;
+        let mut nets = vec![vec![QpPin::Fixed(Point::new(0, 0)), QpPin::Cell(0)]];
+        nets.extend((1..n).map(|i| vec![QpPin::Cell(i as u32 - 1), QpPin::Cell(i as u32)]));
+        nets.push(vec![
+            QpPin::Cell(n as u32 - 1),
+            QpPin::Fixed(Point::new(13_000, 10_000)),
+        ]);
+        let nets = QpNets::new(nets);
+        let x: Vec<f64> = (1..=n).map(|i| 1_000.0 * i as f64).collect();
+        let y = vec![0.0; n];
+        let exits = assert_matches_reference(
+            &mut QpSolver::default(),
+            &nets,
+            (&x, &y),
+            (&x, &y),
+            1e-5,
+            &vec![false; n],
+            3,
+        );
+        assert!(
+            matches!(exits[0][1], CgExit::Converged(it) if it > 0) || exits[0][1] == CgExit::Capped,
             "{exits:?}"
         );
     }
@@ -883,7 +959,7 @@ mod tests {
             QpPin::Cell(n as u32 - 1),
             QpPin::Fixed(Point::new(1_000_000, 500)),
         ]);
-        let nets = QpNets { nets };
+        let nets = QpNets::new(nets);
         let zeros = vec![0.0; n];
         let level = vec![500.0; n];
         let exits = assert_matches_reference(
@@ -916,7 +992,7 @@ mod tests {
             vec![QpPin::Cell(chain), QpPin::Fixed(Point::new(0, 10_000))],
         ];
         nets.extend((2..=chain).map(|i| vec![QpPin::Cell(i - 1), QpPin::Cell(i)]));
-        let nets = QpNets { nets };
+        let nets = QpNets::new(nets);
         let n = chain as usize + 1;
         let x = vec![0.0; n];
         let mut ax = vec![0.0; n];

@@ -66,19 +66,6 @@ impl LayerId {
         format!("{}M{}", self.side.prefix(), self.index)
     }
 
-    /// Parses a canonical layer name (`FM0`…`BM12`).
-    #[must_use]
-    pub fn parse(name: &str) -> Option<LayerId> {
-        let side = match name.as_bytes().first()? {
-            b'F' => Side::Front,
-            b'B' => Side::Back,
-            _ => return None,
-        };
-        let rest = name.get(1..)?.strip_prefix('M')?;
-        let index: u8 = rest.parse().ok()?;
-        (index <= 12).then_some(LayerId { side, index })
-    }
-
     /// Preferred routing direction: metal indices alternate, with M0
     /// horizontal (running along the cell), M1 vertical, M2 horizontal…
     /// The tight-pitch even layers (M2 = 30 nm) carry the horizontal
@@ -195,19 +182,6 @@ mod tests {
     fn layer_names() {
         assert_eq!(LayerId::new(Side::Front, 0).name(), "FM0");
         assert_eq!(LayerId::new(Side::Back, 11).name(), "BM11");
-    }
-
-    #[test]
-    fn layer_name_roundtrip() {
-        for side in Side::BOTH {
-            for index in 0..=12 {
-                let id = LayerId::new(side, index);
-                assert_eq!(LayerId::parse(&id.name()), Some(id));
-            }
-        }
-        assert_eq!(LayerId::parse("M3"), None);
-        assert_eq!(LayerId::parse("FM13"), None);
-        assert_eq!(LayerId::parse("FX2"), None);
     }
 
     #[test]

@@ -159,7 +159,7 @@ fn emitted_trace_validates_against_schema() {
     assert_eq!(stats.metrics_lines, artifacts.points.len());
     assert!(stats.span_lines >= artifacts.points.len() * 5);
     // Labels survive the emit → readback roundtrip.
-    let labels = ffet_obs::point_labels(&trace);
+    let labels = ffet_obs::point_labels(&trace).unwrap();
     assert_eq!(labels.len(), artifacts.points.len());
     let parsed = ffet_obs::parse_point(&trace, &labels[0]).unwrap();
     assert_eq!(parsed.metrics, artifacts.points[0].data.metrics);
